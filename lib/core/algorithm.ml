@@ -28,8 +28,8 @@ let source_selector = function
     fun (view : Problem.view) task ->
       let module Task = S3_workload.Task in
       let hops s =
-        List.length
-          (S3_net.Topology.route view.Problem.topo ~src:s ~dst:task.Task.destination)
+        Array.length
+          (S3_net.Topology.route_array view.Problem.topo ~src:s ~dst:task.Task.destination)
       in
       Array.to_list task.Task.sources
       |> List.stable_sort (fun a b ->
@@ -62,7 +62,8 @@ let reselect_of_policy policy =
   | Shortest_path ->
     fun (view : Problem.view) (task : Task.t) ~eligible ~need ~remaining:_ ->
       let hops s =
-        List.length (S3_net.Topology.route view.Problem.topo ~src:s ~dst:task.Task.destination)
+        Array.length
+          (S3_net.Topology.route_array view.Problem.topo ~src:s ~dst:task.Task.destination)
       in
       Array.to_list eligible
       |> List.stable_sort (fun a b ->

@@ -24,9 +24,9 @@ let factor t e =
        x)
 
 let add_path t path lrb =
-  List.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) path
+  Array.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) path
 
-let path_max t path = List.fold_left (fun acc e -> max acc (factor t e)) 0. path
+let path_max t path = Array.fold_left (fun acc e -> max acc (factor t e)) 0. path
 
 let of_view (v : Problem.view) =
   match v.Problem.load with
@@ -36,7 +36,7 @@ let of_view (v : Problem.view) =
     List.iter
       (fun f ->
         let l = Rtf.flow_lrb v f in
-        if Float.is_finite l then add_path t (Problem.route v f) l)
+        if Float.is_finite l then add_path t (Problem.route_arr v f) l)
       (Lazy.force v.Problem.flows);
     t
 
@@ -52,7 +52,9 @@ let select_least_congested (v : Problem.view) (task : Task.t) =
     let scored =
       List.map
         (fun s ->
-          let path = S3_net.Topology.route v.Problem.topo ~src:s ~dst:task.Task.destination in
+          let path =
+            S3_net.Topology.route_array v.Problem.topo ~src:s ~dst:task.Task.destination
+          in
           (path_max t path, s, path))
         !remaining
     in

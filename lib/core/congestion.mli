@@ -18,10 +18,10 @@ val of_view : Problem.view -> t
 val factor : t -> int -> float
 (** Congestion factor of one entity; 0 when untouched. *)
 
-val add_path : t -> int list -> float -> unit
+val add_path : t -> int array -> float -> unit
 (** Commit [lrb] on every entity of a path. *)
 
-val path_max : t -> int list -> float
+val path_max : t -> int array -> float
 (** Worst congestion factor along a path; 0 for the empty path. *)
 
 val select_least_congested : Problem.view -> Problem.Task.t -> int array

@@ -38,7 +38,7 @@ type view = {
   (** entity id -> sum of the finite least-required bandwidths of the
       view's flows crossing that entity, when the engine maintains the
       per-entity flow index that makes this O(flows on entity) instead
-      of O(all flows). Must equal — bit-for-bit, same accumulation
+      of O(all flows), and O(1) on repeat probes within one instant. Must equal — bit-for-bit, same accumulation
       order as the view's flow order — what {!Congestion.of_view}
       computes from scratch; [None] when no index is available. *)
 }

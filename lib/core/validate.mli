@@ -5,8 +5,9 @@
     module makes the contract checkable, returning typed violations
     instead of a boolean so algorithm authors can see exactly which
     entity overflowed or which flow was starved below a required
-    floor. Used by the engine's safety net, the test-suite and the
-    examples. *)
+    floor. Nothing in the library calls it (the engine's own safety
+    net is its capacity clamp); the test-suite uses it to check
+    algorithms from outside. *)
 
 type violation =
   | Over_capacity of {

@@ -170,12 +170,77 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     Array.init (if incremental then nent else 0) (fun _ -> Hashtbl.create 4)
   in
   let tasks_by_dest : (int, live_task list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* Per-entity congestion load for Phase I: the sum of finite LRBs of
+     the bucket's flows, folded in view order — (task seq, slot)
+     ascending is exactly the order [Congestion.of_view] walks the
+     flow list, so the lazy accessor and the eager scan accumulate the
+     same floats in the same order and agree bit-for-bit.
+
+     The fold is memoized per entity. [memo_sum.(e)] is the fold's
+     value while [memo_epoch.(e) = !load_epoch], and
+     [(memo_seq.(e), memo_slot.(e))] is the largest key folded into it.
+     [load_epoch] moves with the clock (every LRB moves with [now]); a
+     bucket removal invalidates, and so does an insertion that does not
+     sort after the cached key (a re-home into an older task's slot).
+     An insertion that does sort last appends its term — the same
+     float addition the fold would make last — so a same-instant spawn
+     batch pays O(1) per probe instead of re-sorting the bucket. *)
+  let load_epoch = ref 0 in
+  let nmemo = if incremental then nent else 0 in
+  let memo_sum = Array.make nmemo 0. in
+  let memo_seq = Array.make nmemo (-1) and memo_slot = Array.make nmemo (-1) in
+  let memo_epoch = Array.make nmemo (-1) in
+  let flow_lrb lt f = Rtf.lrb ~now:!now ~deadline:lt.task.Task.deadline ~remaining:f.remaining in
+  let counts lt f = (not lt.resolved) && f.remaining > 0. in
+  let entity_load e =
+    if memo_epoch.(e) = !load_epoch then memo_sum.(e)
+    else begin
+      let entries =
+        Hashtbl.fold
+          (fun _ (seq, slot, lt, f) acc -> if counts lt f then (seq, slot, lt, f) :: acc else acc)
+          ent_flows.(e) []
+        |> List.sort (fun (sa, la, _, _) (sb, lb, _, _) ->
+               match Int.compare sa sb with 0 -> Int.compare la lb | c -> c)
+      in
+      let sum, seq, slot =
+        List.fold_left
+          (fun (acc, _, _) (seq, slot, lt, f) ->
+            let l = flow_lrb lt f in
+            ((if Float.is_finite l then acc +. l else acc), seq, slot))
+          (0., -1, -1) entries
+      in
+      memo_sum.(e) <- sum;
+      memo_seq.(e) <- seq;
+      memo_slot.(e) <- slot;
+      memo_epoch.(e) <- !load_epoch;
+      sum
+    end
+  in
   let index_add lt slot f =
     if incremental then
-      Array.iter (fun e -> Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f)) f.route
+      Array.iter
+        (fun e ->
+          Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f);
+          if memo_epoch.(e) = !load_epoch then begin
+            if lt.seq > memo_seq.(e) || (lt.seq = memo_seq.(e) && slot > memo_slot.(e)) then begin
+              memo_seq.(e) <- lt.seq;
+              memo_slot.(e) <- slot;
+              if counts lt f then begin
+                let l = flow_lrb lt f in
+                if Float.is_finite l then memo_sum.(e) <- memo_sum.(e) +. l
+              end
+            end
+            else memo_epoch.(e) <- -1
+          end)
+        f.route
   in
   let index_remove f =
-    if incremental then Array.iter (fun e -> Hashtbl.remove ent_flows.(e) f.flow_id) f.route
+    if incremental then
+      Array.iter
+        (fun e ->
+          Hashtbl.remove ent_flows.(e) f.flow_id;
+          memo_epoch.(e) <- -1)
+        f.route
   in
   (* Dirty capacity entities: usage or availability may have moved since
      the last clamp, so only these need re-checking. The invariant
@@ -193,28 +258,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let fg_generation = ref (Foreground.generation fg) in
   let live_flows lt =
     Array.to_list lt.lflows |> List.filter (fun f -> f.remaining > 0.)
-  in
-  (* Per-entity congestion load for Phase I: the sum of finite LRBs of
-     the bucket's flows, folded in view order — (task seq, slot)
-     ascending is exactly the order [Congestion.of_view] walks the
-     flow list, so the lazy accessor and the eager scan accumulate the
-     same floats in the same order and agree bit-for-bit. *)
-  let entity_load e =
-    let entries =
-      Hashtbl.fold
-        (fun _ (seq, slot, lt, f) acc ->
-          if (not lt.resolved) && f.remaining > 0. then (seq, slot, lt, f) :: acc else acc)
-        ent_flows.(e) []
-      |> List.sort (fun (sa, la, _, _) (sb, lb, _, _) ->
-             match compare sa sb with 0 -> compare la lb | c -> c)
-    in
-    List.fold_left
-      (fun acc (_, _, lt, f) ->
-        let l =
-          Rtf.lrb ~now:!now ~deadline:lt.task.Task.deadline ~remaining:f.remaining
-        in
-        if Float.is_finite l then acc +. l else acc)
-      0. entries
   in
   let make_view () =
     (* The flow list is the expensive part of a view — O(all live
@@ -1166,6 +1209,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     let dt = max 0. (t_next -. !now) in
     advance_volumes dt;
     now := max !now t_next;
+    incr load_epoch;
     Foreground.advance fg !now;
     if incremental then begin
       let g = Foreground.generation fg in

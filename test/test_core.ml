@@ -88,11 +88,11 @@ let test_congestion_of_view () =
 
 let test_congestion_path_ops () =
   let c = Congestion.of_view (view []) in
-  Congestion.add_path c [ 1; 2 ] 50.;
-  Congestion.add_path c [ 2; 3 ] 25.;
+  Congestion.add_path c [| 1; 2 |] 50.;
+  Congestion.add_path c [| 2; 3 |] 25.;
   checkf "sum" 75. (Congestion.factor c 2);
-  checkf "path max" 75. (Congestion.path_max c [ 1; 2; 3 ]);
-  checkf "empty path" 0. (Congestion.path_max c [])
+  checkf "path max" 75. (Congestion.path_max c [| 1; 2; 3 |]);
+  checkf "empty path" 0. (Congestion.path_max c [||])
 
 let test_select_least_congested () =
   (* A busy flow into server 0 from server 1; a new task should prefer

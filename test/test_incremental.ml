@@ -30,7 +30,9 @@ module Foreground = S3_sim.Foreground
 module Metrics = S3_sim.Metrics
 module Report = S3_sim.Report
 module Watchdog = S3_sim.Watchdog
+module Retry = S3_sim.Retry
 module Fault = S3_fault.Fault
+module Detector = S3_fault.Detector
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
 module Lp = S3_lp.Lp
@@ -90,14 +92,31 @@ let engine_config fg =
     seed = 7
   }
 
+(* The engine's [load] accessor against the eager scan of the same
+   view, on every entity, float for float. *)
+let check_load now (v : Problem.view) =
+  match v.Problem.load with
+  | None -> ()
+  | Some load ->
+    let eager = Congestion.of_view { v with Problem.load = None } in
+    for e = 0 to Array.length (T.entities v.Problem.topo) - 1 do
+      let memo = load e and scan = Congestion.factor eager e in
+      if not (Float.equal memo scan) then
+        Alcotest.failf "t=%g entity %d: load %.17g, eager scan %.17g" now e memo scan
+    done
+
 (* One run in one mode, capturing the fingerprint and every per-event
-   rate vector (flow id and rate, in the algorithm's own order). *)
-let capture ?watchdog ~incremental name (topo, tasks, faults, fg) =
+   rate vector (flow id and rate, in the algorithm's own order); the
+   incremental mode's load accessor is checked at every event too. *)
+let capture ?watchdog ?detector ?retry ~incremental name (topo, tasks, faults, fg) =
   let events = ref [] in
-  let hook now (_ : Problem.view) rates = events := (now, rates) :: !events in
+  let hook now v rates =
+    check_load now v;
+    events := (now, rates) :: !events
+  in
   let run =
-    Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog ~incremental
-      topo
+    Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog ?detector ?retry
+      ~incremental topo
       (Registry.make ~incremental name)
       tasks
   in
@@ -112,10 +131,10 @@ let rates_equal a b =
            ra rb)
     a b
 
-let equivalence_case ?watchdog name seed =
-  let scene = scenario seed in
-  let fp_inc, ev_inc = capture ?watchdog ~incremental:true name scene in
-  let fp_orc, ev_orc = capture ?watchdog ~incremental:false name scene in
+let equivalence_case ?watchdog ?detector ?retry ?(scene = scenario) name seed =
+  let scene = scene seed in
+  let fp_inc, ev_inc = capture ?watchdog ?detector ?retry ~incremental:true name scene in
+  let fp_orc, ev_orc = capture ?watchdog ?detector ?retry ~incremental:false name scene in
   if not (String.equal fp_inc fp_orc) then
     QCheck.Test.fail_reportf "%s, seed %d: fingerprints differ (%s vs %s)" name seed fp_inc
       fp_orc;
@@ -128,6 +147,43 @@ let wd_config seed =
   Watchdog.v ~slack:(Prng.float g 2.) ~max_swaps:(Prng.int g 5)
     ~backoff:(0.25 +. Prng.float g 2.) ()
 
+(* The same scenarios with arrivals snapped down onto a coarse grid, so
+   tasks arrive in same-instant batches (the engine's per-entity load
+   memo extends instead of refolding within an instant), and a fault
+   plan that always crashes something, so detector-driven and retry
+   re-homes insert replacement flows at older (seq, slot) keys. *)
+let batched_scenario seed =
+  let topo, tasks, _, fg = scenario seed in
+  let g = Prng.create (seed + 5) in
+  let quantum = 1. +. Prng.float g 8. in
+  let tasks =
+    List.map
+      (fun (t : Task.t) ->
+        { t with Task.arrival = quantum *. Float.floor (t.Task.arrival /. quantum) })
+      tasks
+  in
+  let horizon =
+    List.fold_left (fun acc (t : Task.t) -> max acc t.Task.deadline) 10. tasks
+  in
+  let faults =
+    Fault.random (Prng.create (seed + 1)) topo ~horizon ~crashes:(1 + Prng.int g 3)
+      ~rack_outages:(Prng.int g 2)
+      ~degradations:(1 + Prng.int g 3)
+      ()
+  in
+  (topo, tasks, faults, fg)
+
+let detector_config seed =
+  let g = Prng.create (seed + 3) in
+  Detector.v ~suspect:(Prng.float g 2.) ~confirm:(Prng.float g 2.) ()
+
+let resume_retry seed =
+  let g = Prng.create (seed + 4) in
+  Retry.v ~retries:(Prng.int g 3)
+    ~timeout:(0.1 +. Prng.float g 2.)
+    ~backoff:(1. +. Prng.float g 2.)
+    ~resume:true ()
+
 let qcheck_engine =
   let open QCheck in
   let seed = int_range 0 1_000_000 in
@@ -136,7 +192,12 @@ let qcheck_engine =
       alg_and_seed
       (fun (name, seed) -> equivalence_case name seed);
     Test.make ~name:"incremental == oracle: under the watchdog" ~count:120 alg_and_seed
-      (fun (name, seed) -> equivalence_case ~watchdog:(wd_config seed) name seed)
+      (fun (name, seed) -> equivalence_case ~watchdog:(wd_config seed) name seed);
+    Test.make ~name:"incremental == oracle: same-instant batches, detector, resume re-homes"
+      ~count:150 alg_and_seed (fun (name, seed) ->
+        let watchdog = if seed mod 2 = 0 then Some (wd_config seed) else None in
+        equivalence_case ?watchdog ~detector:(detector_config seed)
+          ~retry:(resume_retry seed) ~scene:batched_scenario name seed)
   ]
 
 (* ---- multicore sweep replay ---- *)
@@ -201,6 +262,47 @@ let test_congestion_accessor () =
         (Printf.sprintf "task %d selects identically" t.Task.id)
         a b)
     tasks
+
+(* ---- the engine's per-entity load memo ---- *)
+
+(* A t = 0 burst on a small leaf-spine, with crashes while it runs: at
+   every event, the engine's memoized [load] must equal the eager scan
+   on every entity, float for float. The burst drives the memo's
+   same-instant extension; the crashes drive invalidation by removal
+   and by re-homes into older slots. *)
+let test_load_memo () =
+  let topo = T.leaf_spine ~leaves:3 ~spines:2 ~servers_per_leaf:5 ~cst:1000. ~cta:3000. in
+  let n = T.servers topo in
+  let g = Prng.create 11 in
+  let tasks =
+    List.init 60 (fun id ->
+        let destination = Prng.int g n in
+        let others = List.filter (fun s -> s <> destination) (List.init n Fun.id) in
+        Task.v ~id ~arrival:0.
+          ~deadline:(4. +. Prng.float g 12.)
+          ~volume:(100. +. Prng.float g 400.)
+          ~k:2
+          ~sources:(Array.of_list (Prng.sample g 4 others))
+          ~destination ())
+  in
+  let faults =
+    Fault.plan
+      [ { Fault.time = 0.5; kind = Fault.Server_crash 3 };
+        { Fault.time = 1.25; kind = Fault.Server_crash 8 };
+        { Fault.time = 2.; kind = Fault.Server_crash 12 }
+      ]
+  in
+  let checked = ref 0 in
+  let hook now (v : Problem.view) _ =
+    Alcotest.(check bool) "load accessor present" true (Option.is_some v.Problem.load);
+    check_load now v;
+    incr checked
+  in
+  let run =
+    Engine.run ~on_event:hook ~faults ~incremental:true topo (Registry.make "lpst") tasks
+  in
+  Alcotest.(check bool) "events checked" true (!checked > 1);
+  Alcotest.(check bool) "crashes re-homed subtasks" true (run.Metrics.tasks_rehomed > 0)
 
 (* ---- keyed LP solves ---- *)
 
@@ -391,6 +493,7 @@ let qcheck_lp =
 let tests =
   ( "incremental",
     [ tc "sweep replay (4 domains)" `Quick test_sweep_replay;
-      tc "congestion accessor == eager scan" `Quick test_congestion_accessor
+      tc "congestion accessor == eager scan" `Quick test_congestion_accessor;
+      tc "load memo == eager scan at every event" `Quick test_load_memo
     ]
     @ List.map QCheck_alcotest.to_alcotest (qcheck_engine @ qcheck_lp) )
