@@ -11,7 +11,6 @@
 
 val lpall :
   ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend ->
-  ?incremental:bool -> ?basis_reuse:bool -> unit -> Algorithm.t
-(** [incremental] / [basis_reuse] as in {!Lpst.lpst}: block-decomposed
-    keyed LP solves (default on, bit-exact) and opt-in warm-started
-    re-solves (faster, not bit-exact). *)
+  ?incremental:bool -> unit -> Algorithm.t
+(** [incremental] as in {!Lpst.lpst}: block-decomposed LP solves
+    (default on, bit-exact). *)

@@ -46,16 +46,14 @@ val lpst :
   ?bandwidth:bandwidth ->
   ?sticky:bool ->
   ?incremental:bool ->
-  ?basis_reuse:bool ->
   ?name:string ->
   unit -> Algorithm.t
 (** [sticky] (default [true]) keeps admitted tasks admitted across
     events; [false] re-triages from scratch on every event — provided
     only for the ablation benchmark that demonstrates why stickiness is
-    load-bearing. [incremental] (default [true]) keys the Phase III LP
-    by flow/entity ids so the solver decomposes it into independent
-    blocks and reuses cached block solutions across events — bit-exact
-    with the unkeyed solve (see {!S3_lp.Lp.identity}). [basis_reuse]
-    (default [false]) additionally warm-starts structurally-unchanged
-    blocks from their previous basis with a dual-simplex repair;
-    faster still, but it forfeits bit-exact replay. *)
+    load-bearing. [incremental] (default [true]) decomposes the Phase III
+    LP into independent blocks of flows that share no entity —
+    bit-exact with the undecomposed solve (see {!S3_lp.Lp.solve}).
+    Across events the solver state reuses the previous solution when
+    the LP repeats verbatim and warm-starts from the previous basis
+    when the LP only grew. *)

@@ -10,9 +10,9 @@ val names : string list
 val make : ?seed:int -> ?incremental:bool -> string -> Algorithm.t
 (** Fresh instance by (case-insensitive) name; [seed] feeds the private
     PRNG of randomized source selection (default 42); [incremental]
-    (default [true]) toggles the keyed block-decomposed LP solves of
+    (default [true]) toggles the block-decomposed LP solves of
     the LP-based algorithms (bit-exact either way — a pure speed knob;
-    see {!S3_lp.Lp.identity}). Raises [Invalid_argument] on unknown
+    see {!S3_lp.Lp.solve}). Raises [Invalid_argument] on unknown
     names. *)
 
 val competitors : ?seed:int -> ?incremental:bool -> unit -> Algorithm.t list

@@ -36,47 +36,24 @@ type backend =
                          problem is not a pure packing instance *)
 
 type state
-(** Reusable solver state: a simplex tableau workspace and a packing
-    CSR/heap arena (no per-solve allocation of the working matrices)
-    plus, for the exact backend, the last solved problem's optimal
-    basis and solution. When consecutive exact solves repeat a problem
-    the cached solution is returned directly; when the constraint
-    structure is unchanged or only grew (old rows a coefficient-wise
-    prefix of the new ones, variables appended), the previous basis
-    warm-starts phase 2. The approximate backend reuses the packing
-    workspace across solves. Any mismatch falls back to a cold solve,
-    so state affects speed, never results. Reuse one state per logical
-    problem stream; do not share it across concurrent solves — give
-    each domain its own. *)
+(** Reusable solver state: a simplex tableau workspace, a packing
+    CSR/heap arena, the block decomposition's index arrays (no
+    per-solve allocation of the working matrices or indexes), and a
+    flat copy of the last solved problem with its solution and optimal
+    basis. For the exact backend that copy gives two kinds of reuse:
+    - a solve that repeats the last problem verbatim returns the
+      stored solution without solving;
+    - when the constraint structure is unchanged or only grew (old
+      rows a coefficient-wise prefix of the new ones, variables
+      appended), the previous basis warm-starts phase 2.
+
+    Nothing finer is kept: there is no per-block solution cache. The
+    approximate backend reuses the packing arena across solves. Any
+    mismatch falls back to a cold solve, so state affects speed, never
+    results. Reuse one state per logical problem stream; do not share
+    it across concurrent solves — give each domain its own. *)
 
 val create_state : unit -> state
-
-type identity
-(** Stable external names for a problem's variables and rows (flow ids,
-    entity ids). Naming them lets {!solve} decompose the LP along the
-    connected components of the row/column incidence graph and cache
-    per-block solutions across consecutive solves: a block untouched by
-    the latest change is recognized by its keys even when the global
-    variable numbering shifted, and its cached solution is returned
-    without re-solving. Block decomposition and caching are bit-exact
-    with respect to the unkeyed path — cross-block tableau coefficients
-    are exactly zero, pivot updates skip zero multipliers, and the
-    entering rule only interleaves per-block pivot sequences — so keyed
-    solves return byte-identical solutions, only faster. Keys must be
-    unique within a solve and stable across solves. *)
-
-val identity : ?basis_reuse:bool -> var_keys:int array -> row_keys:int array -> unit -> identity
-(** [identity ~var_keys ~row_keys ()] names variable [j] with
-    [var_keys.(j)] and constraint row [i] with [row_keys.(i)].
-
-    [basis_reuse] (default [false]) additionally re-solves a block
-    whose structure is unchanged from its previous optimal basis, with
-    a dual-simplex repair when drifted bounds left that basis primal
-    infeasible, falling back to a from-scratch solve for that block
-    when the basis is stale. This is faster on slowly-drifting problem
-    streams but may select a different vertex among alternative optima
-    than a cold solve, so it forfeits the bit-exactness guarantee —
-    leave it off when results must replay byte-identically. *)
 
 val make :
   nvars:int -> objective:float array -> ?lower:float array ->
@@ -86,17 +63,26 @@ val make :
     out-of-range variable indices, or negative lower bounds. *)
 
 val solve :
-  ?backend:backend -> ?state:state -> ?identity:identity -> problem ->
+  ?backend:backend -> ?state:state -> ?decompose:bool -> problem ->
   (solution, error) result
 (** Solve the problem. The returned [values] satisfy every constraint
     up to a small numerical tolerance and respect the lower bounds.
-    [state] enables workspace reuse, warm starts and solution caching
-    across consecutive solves (see {!state}). [identity] (requires
-    [state], [Exact] backend; ignored otherwise) enables block
-    decomposition and per-block caching (see {!identity}); a stream of
-    related solves through one state should pass it consistently —
-    mixing keyed and unkeyed solves on one state is allowed but resets
-    the keyed continuity. *)
+    [state] enables workspace reuse, the identical-problem hit and
+    warm starts across consecutive solves (see {!state}).
+
+    [decompose] (default [false]; requires [state] and the [Exact]
+    backend, ignored otherwise) splits the LP along the connected
+    components of its row/column incidence graph and solves each block
+    separately. This is bit-exact with respect to the undecomposed
+    solve: cross-block tableau coefficients are exactly zero, pivot
+    updates skip zero multipliers, and the entering rule only
+    interleaves the per-block pivot sequences. The warm start is
+    replayed block by block; if any block cannot install it, every
+    block is re-solved cold, just as the undecomposed solve falls back
+    as a whole. A stream of solves through one state should pass
+    [decompose] consistently: an undecomposed solve's basis is never
+    replayed by blocks, so mixing the two costs warm starts, never
+    results. *)
 
 val feasible : ?tol:float -> problem -> float array -> bool
 (** [feasible p x] checks [x] against all constraints and lower bounds
