@@ -45,6 +45,7 @@ type live_flow = {
   flow_id : int;
   source : int;
   route : int array;  (* capacity entities consumed; fixed at spawn *)
+  start : float;  (* [remaining] at spawn: below the volume when resumed *)
   mutable remaining : float;
   mutable rate : float;
 }
@@ -495,10 +496,12 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
      into the replacement ([bytes_resumed]; the conservation law's
      completed-volume side absorbs it because the replacement only
      fetches the remainder), without it the progress is written off
-     exactly as [kill_flow] does. Callers snapshot [f.remaining] first
-     to seed the replacement, and bump their own event counters. *)
-  let kill_for_replacement lt f =
-    let progress = lt.task.Task.volume -. f.remaining in
+     exactly as [kill_flow] does. Only this flow's own progress counts:
+     what its predecessors moved was counted when they were replaced.
+     Callers snapshot [f.remaining] first to seed the replacement, and
+     bump their own event counters. *)
+  let kill_for_replacement f =
+    let progress = f.start -. f.remaining in
     if resume then bytes_resumed := !bytes_resumed +. progress
     else wasted := !wasted +. progress;
     set_flow_rate f 0.;
@@ -573,6 +576,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
               { flow_id;
                 source;
                 route = Topology.route_array topo ~src:source ~dst:t.Task.destination;
+                start = t.Task.volume;
                 remaining = t.Task.volume;
                 rate = 0.
               })
@@ -640,7 +644,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                 in
                 List.iter
                   (fun i ->
-                    kill_for_replacement lt lt.lflows.(i);
+                    kill_for_replacement lt.lflows.(i);
                     incr flows_killed)
                   slots;
                 let view = make_view () in
@@ -670,6 +674,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                         source;
                         route =
                           Topology.route_array topo ~src:source ~dst:lt.task.Task.destination;
+                        start = rem.(j);
                         remaining = rem.(j);
                         rate = 0.
                       };
@@ -930,7 +935,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                     (fun i ->
                       let f = lt.lflows.(i) in
                       Watchdog.abandon st f.source;
-                      swap_kill lt f)
+                      swap_kill f)
                     slots;
                   let view = make_view () in
                   let repl = reselect view t ~eligible ~need:n ~remaining:rem in
@@ -960,6 +965,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                         { flow_id;
                           source;
                           route = Topology.route_array topo ~src:source ~dst:t.Task.destination;
+                          start = rem.(j);
                           remaining = rem.(j);
                           rate = 0.
                         };
@@ -1089,7 +1095,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                       match alg.Algorithm.reselect with
                       | Some reselect when Array.length eligible >= 1 ->
                         let rem = replacement_remaining lt f in
-                        kill_for_replacement lt f;
+                        kill_for_replacement f;
                         let view = make_view () in
                         let repl =
                           reselect view lt.task ~eligible ~need:1 ~remaining:[| rem |]
@@ -1110,6 +1116,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                             route =
                               Topology.route_array topo ~src:source
                                 ~dst:lt.task.Task.destination;
+                            start = rem;
                             remaining = rem;
                             rate = 0.
                           };

@@ -292,6 +292,27 @@ let test_golden_suspected_avoided () =
   Alcotest.(check bool) "later arrival completes" true o2.Metrics.completed;
   Alcotest.(check (array int)) "from the unsuspected source" [| 2 |] o2.Metrics.sources
 
+let test_golden_chained_resume () =
+  (* One chunk, replaced twice with resume: source 1 dies at 0.5 s with
+     500 Mb moved, its replacement on source 2 dies at 0.75 s having
+     moved 250 Mb more, and source 3 fetches the last 250 Mb. Each kill
+     contributes only the bytes its own flow moved. *)
+  let t =
+    Task.v ~id:0 ~arrival:0. ~deadline:10. ~volume:1000. ~k:1 ~sources:[| 1; 2; 3 |]
+      ~destination:0 ()
+  in
+  let faults = plan "crash@0.5:1,crash@0.75:2" in
+  let run = Engine.run ~faults ~retry:Retry.default topo (Registry.make "lpst") [ t ] in
+  Alcotest.(check int) "completed" 1 (Metrics.completed run);
+  Alcotest.(check int) "re-homed twice" 2 run.Metrics.tasks_rehomed;
+  Alcotest.(check (array int)) "finished on the third source" [| 3 |]
+    (List.hd run.Metrics.outcomes).Metrics.sources;
+  checkf "resumed = 500 + 250, each kill's own progress" 750. run.Metrics.bytes_resumed;
+  checkf "transferred is exactly the chunk" 1000. run.Metrics.transferred;
+  Alcotest.(check bool) "resumed <= transferred" true
+    (run.Metrics.bytes_resumed <= run.Metrics.transferred);
+  checkf "nothing wasted" 0. run.Metrics.wasted
+
 (* ---- golden detection storm: resume vs restart ---- *)
 
 let fig5_workload = Test_fault.fig5_workload
@@ -530,6 +551,7 @@ let tests =
       tc "golden: suspected source avoided" `Quick test_golden_suspected_avoided;
       tc "golden: storm, resume vs restart" `Quick test_golden_storm_resume_beats_restart;
       tc "golden: retry ladder re-home" `Quick test_golden_retry_rehome;
+      tc "golden: chained resume counts each kill once" `Quick test_golden_chained_resume;
       tc "parallel detection determinism" `Quick test_parallel_detection_determinism
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
