@@ -505,9 +505,7 @@ let scale_tasks ~m =
       in
       Task.v ~id:i ~arrival:0. ~deadline ~volume ~k:4 ~sources ~destination:dst ())
 
-let scale_scene_run ?(incremental = true) ~m name =
-  let topo = scale_topo () in
-  Engine.run ~incremental topo (Registry.make ~incremental name) (scale_tasks ~m)
+let scale_scene_run ~m name = Engine.run (scale_topo ()) (Registry.make name) (scale_tasks ~m)
 
 (* Spawn-pressure variant: the same hand-built leaf-local workload in
    20 arrival waves of m/20 tasks, so the engine performs thousands of

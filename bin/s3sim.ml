@@ -115,11 +115,6 @@ let codec_arg =
 
 let parse_codec s = S3_storage.Reed_solomon.kernel_of_string s
 
-let no_incremental_arg =
-  Arg.(value & flag
-       & info [ "no-incremental" ]
-           ~doc:"Disable the O(affected) incremental engine and keyed LP solves; run the                  full-recompute oracle paths instead. Results are bit-identical either                  way; this flag only trades speed for simpler debugging.")
-
 let fingerprint_arg =
   Arg.(value & flag
        & info [ "fingerprint" ]
@@ -167,8 +162,49 @@ let parse_retry = function
   | Some spec -> (
     match S3_sim.Retry.of_string spec with Ok c -> Ok (Some c) | Error e -> Error e)
 
-let report ~cloud ~fg ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?csv
-    ?(incremental = true) ?(fingerprint = false) topo names tasks =
+(* ---- options shared by run and trace ---- *)
+
+type common = {
+  topo : Topology.t;
+  names : string list;
+  faults : Fault.t;
+  detector : S3_fault.Detector.config option;
+  retry : S3_sim.Retry.config option;
+  watchdog : S3_sim.Watchdog.config option;
+  fg : float;
+  seed : int;
+  cloud : bool;
+  csv : string option;
+  fingerprint : bool;
+}
+
+(* Every flag run and trace share, parsed in one place; the first
+   malformed spec, in this order, is the error. Choosing the codec
+   kernel is the one side effect. *)
+let common_term =
+  let parse topo_kind racks servers cst cta fat_k ports levels algs fg seed cloud verbose
+      faults_spec detect_spec retry_spec watchdog_spec codec csv fingerprint =
+    setup_logs verbose;
+    let ( let* ) = Result.bind in
+    let* topo = make_topology topo_kind racks servers cst cta fat_k ports levels in
+    let* names = parse_algorithms algs in
+    let* faults = parse_faults faults_spec in
+    let* watchdog = parse_watchdog watchdog_spec in
+    let* kernel = parse_codec codec in
+    let* detector = parse_detect detect_spec in
+    let* retry = parse_retry retry_spec in
+    S3_storage.Reed_solomon.set_default_kernel kernel;
+    Ok { topo; names; faults; detector; retry; watchdog; fg; seed; cloud; csv; fingerprint }
+  in
+  Term.(const parse $ topology_arg $ racks $ servers $ cst $ cta $ fat_k $ bcube_ports
+        $ bcube_levels $ algorithms_arg $ fg_arg $ seed_arg $ cloud_arg $ verbose_arg
+        $ faults_arg $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg $ csv_arg
+        $ fingerprint_arg)
+
+let report c tasks =
+  let { topo; names; faults; detector; retry; watchdog; fg; seed; cloud; csv; fingerprint } =
+    c
+  in
   let config =
     { Engine.foreground =
         (if fg > 0. then Foreground.uniform ~max_frac:fg else Foreground.none);
@@ -182,11 +218,10 @@ let report ~cloud ~fg ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?
   let runs =
     List.map
       (fun name ->
-        let alg = Registry.make ~incremental name in
+        let alg = Registry.make name in
         if cloud then
-          Emulator.run ~sim_config:config ~faults ?detector ?retry ?watchdog ~incremental
-            topo alg tasks
-        else Engine.run ~config ~faults ?detector ?retry ?watchdog ~incremental topo alg tasks)
+          Emulator.run ~sim_config:config ~faults ?detector ?retry ?watchdog topo alg tasks
+        else Engine.run ~config ~faults ?detector ?retry ?watchdog topo alg tasks)
       names
   in
   let rows =
@@ -295,26 +330,11 @@ let run_cmd =
     Arg.(value & opt float 0.5
          & info [ "deadline-jitter" ] ~doc:"Relative deadline-factor spread, [0,1).")
   in
-  let run topo_kind racks servers cst cta fat_k ports levels algs tasks rate chunk (n, k)
-      factor jitter profile_spec fg seed cloud verbose faults_spec detect_spec retry_spec
-      watchdog_spec codec csv no_incremental fingerprint =
-    setup_logs verbose;
-    match (make_topology topo_kind racks servers cst cta fat_k ports levels,
-           parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
-           parse_codec codec, parse_profile profile_spec,
-           (parse_detect detect_spec, parse_retry retry_spec))
-    with
-    | Error e, _, _, _, _, _, _
-    | _, Error e, _, _, _, _, _
-    | _, _, Error e, _, _, _, _
-    | _, _, _, Error e, _, _, _
-    | _, _, _, _, Error e, _, _
-    | _, _, _, _, _, Error e, _
-    | _, _, _, _, _, _, (Error e, _)
-    | _, _, _, _, _, _, (_, Error e) -> `Error (false, e)
-    | Ok topo, Ok names, Ok faults, Ok watchdog, Ok kernel, Ok profile,
-      (Ok detector, Ok retry) ->
-      S3_storage.Reed_solomon.set_default_kernel kernel;
+  let run common tasks rate chunk (n, k) factor jitter profile_spec =
+    match (common, parse_profile profile_spec) with
+    | Error e, _ | _, Error e -> `Error (false, e)
+    | Ok c, Ok profile ->
+      let { topo; faults; detector; retry; watchdog; cloud; seed; fg; _ } = c in
       (try
          let workload, header =
            match profile with
@@ -357,18 +377,14 @@ let run_cmd =
            (match watchdog with
             | None -> ""
             | Some w -> Printf.sprintf " | watchdog: %s" (S3_sim.Watchdog.to_string w));
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv
-           ~incremental:(not no_incremental) ~fingerprint topo names workload;
+         report { c with fg } workload;
          `Ok ()
        with Invalid_argument m -> `Error (false, m))
   in
   let term =
     Term.(ret
-            (const run $ topology_arg $ racks $ servers $ cst $ cta $ fat_k $ bcube_ports
-             $ bcube_levels $ algorithms_arg $ tasks_arg $ rate_arg $ chunk_arg $ code_arg
-             $ factor_arg $ jitter_arg $ profile_arg $ fg_arg $ seed_arg $ cloud_arg
-             $ verbose_arg $ faults_arg $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg
-             $ csv_arg $ no_incremental_arg $ fingerprint_arg))
+            (const run $ common_term $ tasks_arg $ rate_arg $ chunk_arg $ code_arg
+             $ factor_arg $ jitter_arg $ profile_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a synthetic background-task workload.") term
 
@@ -385,23 +401,11 @@ let trace_cmd =
   let factor_arg =
     Arg.(value & opt float 10. & info [ "deadline-factor" ] ~doc:"Deadline = factor x LRT.")
   in
-  let run topo_kind racks servers cst cta fat_k ports levels algs file machines tasks chunk
-      factor fg seed cloud verbose faults_spec detect_spec retry_spec watchdog_spec codec
-      csv no_incremental fingerprint =
-    setup_logs verbose;
-    match (make_topology topo_kind racks servers cst cta fat_k ports levels,
-           parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
-           parse_codec codec, (parse_detect detect_spec, parse_retry retry_spec))
-    with
-    | Error e, _, _, _, _, _
-    | _, Error e, _, _, _, _
-    | _, _, Error e, _, _, _
-    | _, _, _, Error e, _, _
-    | _, _, _, _, Error e, _
-    | _, _, _, _, _, (Error e, _)
-    | _, _, _, _, _, (_, Error e) -> `Error (false, e)
-    | Ok topo, Ok names, Ok faults, Ok watchdog, Ok kernel, (Ok detector, Ok retry) ->
-      S3_storage.Reed_solomon.set_default_kernel kernel;
+  let run common file machines tasks chunk factor =
+    match common with
+    | Error e -> `Error (false, e)
+    | Ok c ->
+      let { topo; seed; _ } = c in
       (try
          let g = Prng.create seed in
          let records =
@@ -417,8 +421,7 @@ let trace_cmd =
            Trace.to_tasks g topo records ~chunk_size_mb:chunk ~deadline_factor:factor
          in
          Printf.printf "%s | %d trace records\n\n" (Topology.name topo) (List.length records);
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv
-           ~incremental:(not no_incremental) ~fingerprint topo names workload;
+         report c workload;
          `Ok ()
        with
        | Invalid_argument m -> `Error (false, m)
@@ -426,11 +429,8 @@ let trace_cmd =
   in
   let term =
     Term.(ret
-            (const run $ topology_arg $ racks $ servers $ cst $ cta $ fat_k $ bcube_ports
-             $ bcube_levels $ algorithms_arg $ file_arg $ machines_arg $ tasks_arg $ chunk_arg
-             $ factor_arg $ fg_arg $ seed_arg $ cloud_arg $ verbose_arg $ faults_arg
-             $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg $ csv_arg
-             $ no_incremental_arg $ fingerprint_arg))
+            (const run $ common_term $ file_arg $ machines_arg $ tasks_arg $ chunk_arg
+             $ factor_arg))
   in
   Cmd.v (Cmd.info "trace" ~doc:"Simulate a Google-style arrival trace.") term
 
@@ -594,7 +594,11 @@ let example_cmd =
   let run () =
     let topo, tasks = S3_workload.Scenarios.fig1 () in
     Printf.printf "Fig. 1 example on %s\n\n" (Topology.name topo);
-    report ~cloud:false ~fg:0. ~seed:0 topo [ "sp-ff"; "edf-cong"; "lpst" ] tasks;
+    report
+      { topo; names = [ "sp-ff"; "edf-cong"; "lpst" ]; faults = Fault.empty; detector = None;
+        retry = None; watchdog = None; fg = 0.; seed = 0; cloud = false; csv = None;
+        fingerprint = false }
+      tasks;
     `Ok ()
   in
   Cmd.v

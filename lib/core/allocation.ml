@@ -116,8 +116,7 @@ let priority_fill (v : Problem.view) groups =
     groups;
   !all
 
-let lp_allocate ?backend ?state ?(incremental = false) ?(lower = fun _ -> 0.)
-    (v : Problem.view) flows =
+let lp_allocate ?backend ?state ?(lower = fun _ -> 0.) (v : Problem.view) flows =
   let routes = List.map (fun f -> (f, Problem.route_arr v f)) flows in
   let local, networked = List.partition (fun (_, r) -> Array.length r = 0) routes in
   let local_rates =
@@ -150,9 +149,9 @@ let lp_allocate ?backend ?state ?(incremental = false) ?(lower = fun _ -> 0.)
     let problem =
       Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower:lower_arr !constraints
     in
-    (* Flows on disjoint entities form independent blocks (leaf-local
-       traffic groups); decomposing is bit-exact (see Lp.solve). *)
-    match Lp.solve ?backend ?state ~decompose:incremental problem with
+    (* With [state], flows on disjoint entities solve as independent
+       blocks (leaf-local traffic groups); see Lp.solve. *)
+    match Lp.solve ?backend ?state problem with
     | Error _ -> None
     | Ok { Lp.values; _ } ->
       let rates =

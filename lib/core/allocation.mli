@@ -26,7 +26,6 @@ val residual_after : Problem.view -> rates -> int -> float
 val lp_allocate :
   ?backend:S3_lp.Lp.backend ->
   ?state:S3_lp.Lp.state ->
-  ?incremental:bool ->
   ?lower:(Problem.flow -> float) ->
   Problem.view -> Problem.flow list -> rates option
 (** One LP: maximize the sum of rates subject to per-entity capacity
@@ -35,10 +34,9 @@ val lp_allocate :
     routes are excluded from the LP and given their lower bound.
     [state] is an {!S3_lp.Lp.state} reused across consecutive calls so
     that a repeated problem skips the solver and a grown one
-    warm-starts it; pass one state per algorithm instance.
-    [incremental] (default [false]; requires [state]) decomposes the LP
-    into independent blocks of flows that share no entity —
-    bit-exact with the undecomposed solve (see {!S3_lp.Lp.solve}). *)
+    warm-starts it, and it is solved as independent blocks of flows
+    that share no entity (see {!S3_lp.Lp.solve}); pass one state per
+    algorithm instance. *)
 
 val max_feasible_scale : Problem.view -> (Problem.flow * float) list -> float
 (** [max_feasible_scale v demands] is the largest [theta in [0, 1]]

@@ -10,7 +10,6 @@
     deadlines (paper, Figs. 2–3 discussion). *)
 
 val lpall :
-  ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend ->
-  ?incremental:bool -> unit -> Algorithm.t
-(** [incremental] as in {!Lpst.lpst}: block-decomposed LP solves
-    (default on, bit-exact). *)
+  ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend -> unit -> Algorithm.t
+(** The LP runs through one solver state per instance, as in
+    {!Lpst.lpst}. *)

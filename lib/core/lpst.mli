@@ -45,15 +45,13 @@ val lpst :
   ?admission:admission ->
   ?bandwidth:bandwidth ->
   ?sticky:bool ->
-  ?incremental:bool ->
   ?name:string ->
   unit -> Algorithm.t
 (** [sticky] (default [true]) keeps admitted tasks admitted across
     events; [false] re-triages from scratch on every event — provided
     only for the ablation benchmark that demonstrates why stickiness is
-    load-bearing. [incremental] (default [true]) decomposes the Phase III
-    LP into independent blocks of flows that share no entity —
-    bit-exact with the undecomposed solve (see {!S3_lp.Lp.solve}).
-    Across events the solver state reuses the previous solution when
-    the LP repeats verbatim and warm-starts from the previous basis
-    when the LP only grew. *)
+    load-bearing. The Phase III LP runs through one solver state per
+    instance, so it is solved as independent blocks of flows that
+    share no entity (see {!S3_lp.Lp.solve}); across events the state
+    reuses the previous solution when the LP repeats verbatim and
+    warm-starts from the previous basis when the LP only grew. *)

@@ -78,14 +78,9 @@ let random g topo ~horizon ?(crashes = 1) ?(rack_outages = 0) ?(degradations = 1
 
 (* ---- compact string spec ---- *)
 
-(* Shortest decimal form that parses back to the same float: %g keeps
-   only 6 significant digits and loses precision on round-trip, so specs
-   printed from a randomly drawn plan would no longer replay the same
-   run. %.15g covers almost every value humans write; the %.17g fallback
-   is exact for every float. *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+(* Round-trip floats, so specs printed from a randomly drawn plan
+   replay the same run. *)
+let float_rt = S3_util.Spec.float_rt
 
 let to_string t =
   events t

@@ -42,7 +42,6 @@ type backend =
    result — only how fast it is computed. *)
 type snapshot = {
   mutable held : bool;
-  mutable by_blocks : bool;  (* solved block by block: the basis may be replayed per block *)
   mutable s_nvars : int;
   mutable s_nrows : int;
   mutable s_row_start : int array;  (* row i is entries [s_row_start.(i), s_row_start.(i + 1)) *)
@@ -79,7 +78,7 @@ let create_state () =
   { ws = Simplex.create_workspace ();
     pws = Packing.create_workspace ();
     snap =
-      { held = false; by_blocks = false; s_nvars = 0; s_nrows = 0; s_row_start = [||];
+      { held = false; s_nvars = 0; s_nrows = 0; s_row_start = [||];
         s_col = [||]; s_coef = [||]; s_bound = [||]; s_obj = [||]; s_lower = [||];
         s_values = [||]; s_objective_value = 0.; s_basis = None
       };
@@ -194,7 +193,7 @@ let snapshot_matches s p cons =
   && floats_equal s.s_obj p.objective p.nvars
   && rows_match s cons ~upto:s.s_nrows ~bounds:true
 
-let record s p cons sol basis ~by_blocks =
+let record s p cons sol basis =
   let n = p.nvars and m = Array.length cons in
   let nnz = Array.fold_left (fun acc c -> acc + List.length c.coeffs) 0 cons in
   s.s_row_start <- ensure s.s_row_start (m + 1) 0;
@@ -223,7 +222,6 @@ let record s p cons sol basis ~by_blocks =
   s.s_objective_value <- sol.objective_value;
   s.s_basis <- basis;
   s.held <- true;
-  s.by_blocks <- by_blocks;
   s.s_nvars <- n;
   s.s_nrows <- m
 
@@ -255,20 +253,12 @@ let warm_hint s p cons =
            end))
   | _ -> None
 
-let solve_plain ?st p cons =
+let solve_plain p cons =
   let rows = Array.map (fun c -> c.coeffs) cons in
-  let rhs = shifted_rhs p cons in
-  let ws = Option.map (fun st -> st.ws) st in
-  let warm = Option.bind st (fun st -> warm_hint st.snap p cons) in
-  match Simplex.maximize_sparse ?ws ?warm ~obj:p.objective ~rows ~rhs () with
-  | Ok (y, basis) ->
-    let sol = finish p y in
-    (* the block path replays only bases it stitched itself *)
-    Option.iter (fun st -> record st.snap p cons sol basis ~by_blocks:false) st;
-    Ok sol
-  | Error e ->
-    Option.iter (fun st -> forget st.snap) st;
-    Error (match e with `Infeasible -> Infeasible | `Unbounded -> Unbounded)
+  match Simplex.maximize_sparse ~obj:p.objective ~rows ~rhs:(shifted_rhs p cons) () with
+  | Ok (y, _) -> Ok (finish p y)
+  | Error `Infeasible -> Error Infeasible
+  | Error `Unbounded -> Error Unbounded
 
 (* ---- block decomposition ----
 
@@ -277,11 +267,12 @@ let solve_plain ?st p cons =
    another (all cross-component tableau coefficients are exactly 0.0
    and the pivot row-update skips zero multipliers), and Dantzig's rule
    merely interleaves the per-block pivot sequences, so solving the
-   blocks separately is bit-identical to the global solve. The plain
-   path's warm start is replicated exactly: the previous global basis
+   blocks separately is bit-identical to the global solve. A warm start
+   of the global solve is replicated exactly: the previous global basis
    is replayed block by block, and if any block's replay bails every
-   block is re-solved cold, mirroring the all-or-nothing fallback of
-   {!Simplex.maximize_sparse}. *)
+   block is re-solved cold, mirroring the all-or-nothing fallback of a
+   whole-problem warm solve (test/test_incremental.ml pins the stream
+   against such a reference). *)
 
 (* Union-find with path compression; smaller root wins, so a
    component's root is its smallest member. *)
@@ -390,7 +381,7 @@ let solve_blocks st p cons =
         Array.init nrb (fun k ->
             let c = g.(members.(s + nvb + k) - n) in
             (* a basic column escaped its block: the hint is stale in a
-               way the plain path would also reject *)
+               way the whole-problem solve would also reject *)
             if blk.(c) <> b then raise Bail_to_cold;
             local c)
       in
@@ -415,7 +406,7 @@ let solve_blocks st p cons =
     done;
     (!err, !basis_ok)
   in
-  let warm = if st.snap.by_blocks then warm_hint st.snap p cons else None in
+  let warm = warm_hint st.snap p cons in
   let err, basis_ok =
     match warm with
     | None -> pass ~warm:None
@@ -430,20 +421,20 @@ let solve_blocks st p cons =
     Error Unbounded
   | None, false ->
     let sol = finish p y in
-    record st.snap p cons sol (if basis_ok then Some basis else None) ~by_blocks:true;
+    record st.snap p cons sol (if basis_ok then Some basis else None);
     Ok sol
 
-let solve ?(backend = Exact) ?state ?(decompose = false) p =
+let solve ?(backend = Exact) ?state p =
   let cons = Array.of_list p.constraints in
-  let exact ~decompose =
+  let exact () =
     match state with
     | Some { snap; _ } when snapshot_matches snap p cons ->
       Ok { values = Array.sub snap.s_values 0 p.nvars; objective_value = snap.s_objective_value }
-    | Some st when decompose -> solve_blocks st p cons
-    | _ -> solve_plain ?st:state p cons
+    | Some st -> solve_blocks st p cons
+    | None -> solve_plain p cons
   in
   match backend with
-  | Exact -> exact ~decompose
+  | Exact -> exact ()
   | Approx eps -> (
     (* Sparse view after the lower-bound substitution x = lower + y:
        canonical ascending rows plus the shifted bounds — no dense m x n
@@ -455,4 +446,4 @@ let solve ?(backend = Exact) ?state ?(decompose = false) p =
     match Packing.maximize_sparse ?ws:pws ~eps ~obj:p.objective ~rows ~rhs () with
     | Ok y -> Ok (finish p y)
     | Error `Unbounded -> Error Unbounded
-    | Error `Not_packing -> exact ~decompose:false)
+    | Error `Not_packing -> exact ())

@@ -62,27 +62,22 @@ val make :
     to all zeros. Raises [Invalid_argument] on dimension mismatches,
     out-of-range variable indices, or negative lower bounds. *)
 
-val solve :
-  ?backend:backend -> ?state:state -> ?decompose:bool -> problem ->
-  (solution, error) result
+val solve : ?backend:backend -> ?state:state -> problem -> (solution, error) result
 (** Solve the problem. The returned [values] satisfy every constraint
     up to a small numerical tolerance and respect the lower bounds.
-    [state] enables workspace reuse, the identical-problem hit and
-    warm starts across consecutive solves (see {!state}).
 
-    [decompose] (default [false]; requires [state] and the [Exact]
-    backend, ignored otherwise) splits the LP along the connected
-    components of its row/column incidence graph and solves each block
-    separately. This is bit-exact with respect to the undecomposed
-    solve: cross-block tableau coefficients are exactly zero, pivot
-    updates skip zero multipliers, and the entering rule only
-    interleaves the per-block pivot sequences. The warm start is
+    Without [state] the exact backend runs one cold simplex over the
+    whole problem. With [state] exact solves are decomposed: the LP is
+    split along the connected components of its row/column incidence
+    graph and each block is solved separately, through the state's
+    workspace, identical-problem hit and warm start (see {!state}).
+    This is bit-exact with respect to solving the whole problem with
+    the same warm start: cross-block tableau coefficients are exactly
+    zero, pivot updates skip zero multipliers, and the entering rule
+    only interleaves the per-block pivot sequences. The warm start is
     replayed block by block; if any block cannot install it, every
-    block is re-solved cold, just as the undecomposed solve falls back
-    as a whole. A stream of solves through one state should pass
-    [decompose] consistently: an undecomposed solve's basis is never
-    replayed by blocks, so mixing the two costs warm starts, never
-    results. *)
+    block is re-solved cold, just as a whole-problem solve falls back
+    as a whole. *)
 
 val feasible : ?tol:float -> problem -> float array -> bool
 (** [feasible p x] checks [x] against all constraints and lower bounds

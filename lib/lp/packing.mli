@@ -15,10 +15,10 @@
     recorded key is an upper bound) are repaired on pop. Each round
     therefore costs O(nnz of the touched column + log n) instead of the
     dense O(n·m) scan, while producing the {e same float trajectory} as
-    the retained dense oracle {!reference_maximize} — column sums are
-    accumulated in ascending row order exactly as the dense fold does,
-    so the two implementations agree bit-for-bit (the equivalence test
-    suite pins this). *)
+    the original dense implementation — column sums are accumulated in
+    ascending row order exactly as the dense fold does, so the two
+    agree bit-for-bit (the test suite pins this against the dense
+    oracle it keeps). *)
 
 type workspace
 (** Reusable solver scratch: the CSR arena (column pointers, row
@@ -58,17 +58,6 @@ val maximize_sparse :
     {!maximize}. Rows should list distinct columns in ascending order —
     duplicates are summed term-by-term during dot products and an
     unsorted row changes float-accumulation order (still feasible, but
-    no longer bit-identical to the dense oracle). Raises
+    no longer bit-identical to the dense implementation). Raises
     [Invalid_argument] on out-of-range column indices, a [rhs] length
     mismatch, or [eps] outside (0,1). *)
-
-val reference_maximize :
-  eps:float ->
-  obj:float array ->
-  rows:float array array ->
-  rhs:float array ->
-  (float array, [ `Unbounded | `Not_packing ]) result
-(** The retained dense oracle: the original O(n·m)-per-round
-    implementation, kept verbatim (plus the same finite-data guard) as
-    the equivalence baseline for the sparse solver. Test/diagnostic use
-    only — quadratically slower than {!maximize}. *)

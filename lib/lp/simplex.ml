@@ -1,6 +1,6 @@
 (* Two-phase primal simplex over a dense working tableau, with a
-   sparse-aware build, a reusable solver workspace, and an optional
-   warm start.
+   sparse-aware build, a reusable solver workspace, and a warm start
+   from a previous basis.
 
    Layout of the working tableau for m constraints and n structural
    variables: columns are [structural (n) | slack (m) | artificial (a)],
@@ -309,20 +309,14 @@ let cold_solve ws ~obj ~rows ~rhs =
     | `Optimal -> Ok (extract tb ~n, basis_hint tb ~n)
   end
 
-let maximize_sparse ?ws ?warm ~obj ~rows ~rhs () =
+let maximize_sparse ?ws ~obj ~rows ~rhs () =
   let n = Array.length obj and m = Array.length rows in
   if Array.length rhs <> m then invalid_arg "Simplex.maximize_sparse: rhs length";
   Array.iter
     (List.iter (fun (j, _) ->
          if j < 0 || j >= n then invalid_arg "Simplex.maximize_sparse: column index"))
     rows;
-  let ws = match ws with Some w -> w | None -> create_workspace () in
-  match warm with
-  | Some w -> (
-    match warm_solve ws ~obj ~rows ~rhs ~warm:w with
-    | Some result -> result
-    | None -> cold_solve ws ~obj ~rows ~rhs)
-  | None -> cold_solve ws ~obj ~rows ~rhs
+  cold_solve (match ws with Some w -> w | None -> create_workspace ()) ~obj ~rows ~rhs
 
 let maximize ~obj ~rows ~rhs =
   let n = Array.length obj in

@@ -27,16 +27,17 @@ val warm_solve :
   rhs:float array ->
   warm:int array ->
   (float array * int array option, [ `Infeasible | `Unbounded ]) result option
-(** Low-level warm start: replay [warm] (same column convention as
-    {!maximize_sparse}) and re-optimize. Returns [None] when the basis
-    cannot be installed or is primal infeasible —
-    unlike {!maximize_sparse} there is no silent cold fallback, so a
-    caller orchestrating several related solves can observe the bail
-    and fall back for all of them coherently. *)
+(** Warm start: seed phase 2 from a previous solve's basis [warm]
+    ([warm.(i)] the column basic in row [i]: columns [< n] are
+    structural, columns [n + i] the slack of row [i]), installed by
+    explicit pivots, and re-optimize. Returns [None] when the basis
+    cannot be installed or is primal infeasible. There is no silent
+    cold fallback, so a caller orchestrating several related solves can
+    observe the bail and fall back to {!maximize_sparse} for all of
+    them coherently. *)
 
 val maximize_sparse :
   ?ws:workspace ->
-  ?warm:int array ->
   obj:float array ->
   rows:(int * float) list array ->
   rhs:float array ->
@@ -44,17 +45,11 @@ val maximize_sparse :
   (float array * int array option, [ `Infeasible | `Unbounded ]) result
 (** [maximize_sparse ~obj ~rows ~rhs ()] solves the LP given as sparse
     constraint rows of [(column, coefficient)] pairs (duplicate columns
-    accumulate). Returns the optimal vertex together with the final
-    basis ([basis.(i)] = column basic in row [i]; [None] when the basis
-    retains an artificial column and is therefore not reusable).
-
-    [ws] supplies a reusable workspace (a private one is created
-    otherwise). [warm] seeds phase 2 from a previous solve's basis:
-    columns [< n] are structural, columns [n + i] the slack of row [i].
-    The basis is installed by explicit pivots and used only if the
-    resulting basic solution is primal feasible; on any mismatch the
-    solver silently falls back to a cold two-phase solve, so a stale or
-    wrong hint can cost time but never correctness. *)
+    accumulate) with a cold two-phase solve. Returns the optimal vertex
+    together with the final basis ([basis.(i)] = column basic in row
+    [i]; [None] when the basis retains an artificial column and is
+    therefore not reusable by {!warm_solve}). [ws] supplies a reusable
+    workspace (a private one is created otherwise). *)
 
 val maximize :
   obj:float array ->

@@ -78,37 +78,47 @@ exception Invalid_selection of { task : int; server : int; detail : string }
     [server] is the offending server, or [-1] when the problem is not
     tied to one (a count mismatch). *)
 
-val run :
-  ?config:config ->
-  ?data_plane:data_plane ->
-  ?on_event:(float -> S3_core.Problem.view -> S3_core.Allocation.rates -> unit) ->
-  ?faults:S3_fault.Fault.t ->
-  ?detector:S3_fault.Detector.config ->
-  ?retry:Retry.config ->
-  ?on_failure:(now:float -> server:int -> Metrics.Task.t list) ->
-  ?watchdog:Watchdog.config ->
-  ?incremental:bool ->
-  S3_net.Topology.t ->
-  S3_core.Algorithm.t ->
-  Metrics.Task.t list ->
-  Metrics.run
-(** Execute to quiescence and report. [on_event] observes every
+module type S = sig
+  val run :
+    ?config:config ->
+    ?data_plane:data_plane ->
+    ?on_event:(float -> S3_core.Problem.view -> S3_core.Allocation.rates -> unit) ->
+    ?faults:S3_fault.Fault.t ->
+    ?detector:S3_fault.Detector.config ->
+    ?retry:Retry.config ->
+    ?on_failure:(now:float -> server:int -> Metrics.Task.t list) ->
+    ?watchdog:Watchdog.config ->
+    S3_net.Topology.t ->
+    S3_core.Algorithm.t ->
+    Metrics.Task.t list ->
+    Metrics.run
+end
+
+module Make (I : Flow_index.S) : S
+(** The engine written against an index implementation. Every
+    per-entity question the engine asks — which flows cross an entity,
+    which entities a clamp pass must check, which tasks a crash may
+    touch, what Phase I's congestion load is — goes through [I]; the
+    engine's decisions are otherwise fixed. Two indexes that meet the
+    {!Flow_index.S} contract therefore replay the same run bit for bit:
+    the test suite pins {!run} against a full-rescan twin that scans
+    every live task for each answer. *)
+
+include S
+(** [run] is [Make (Flow_index).run], the O(affected) engine: a
+    scheduling event touches only the entities and tasks it affects
+    (dirty-set capacity clamping, indexed crash candidates, a memoized
+    per-entity congestion load handed to Phase I through
+    {!S3_core.Problem.view}[.load], and an O(1) per-task straggler
+    prefilter in the watchdog).
+
+    Execute to quiescence and report. [on_event] observes every
     post-recomputation state (used by the Table 2 walkthrough). Tasks
     may be given in any order; destinations and sources must be valid
     servers of the topology. Raises {!Invalid_selection} if the
-    algorithm returns an invalid source selection.
-
-    [incremental] (default [true]) drives the run off per-entity flow
-    indexes: scheduling events touch only the entities and tasks they
-    affect (dirty-set capacity clamping, indexed crash candidates, a
-    lazy per-entity congestion load handed to Phase I through
-    {!S3_core.Problem.view}[.load], and an O(1) per-task straggler
-    prefilter in the watchdog). [~incremental:false] runs the original
-    full-rescan code paths. Both modes produce bit-identical runs — the
-    equivalence suite pins {!Report.fingerprint} across them — so the
-    flag is purely a performance (and debugging) switch. The [load]
-    accessor in views handed to [on_event] reads live engine state:
-    consult it during the callback, not after.
+    algorithm returns an invalid source selection. The [load] accessor
+    in views handed to [on_event] reads live engine state: consult it
+    during the callback, not after.
 
     [faults] (default {!S3_fault.Fault.empty}) is played into the run
     as described above. [on_failure] is consulted once per server

@@ -22,58 +22,21 @@ let v ?(slack = default.slack) ?(max_swaps = default.max_swaps)
     invalid_arg "Watchdog.v: backoff must be finite and > 0";
   { slack; max_swaps; backoff }
 
-(* Shortest decimal form that parses back to the same float, so
-   to_string/of_string round-trips exactly (same scheme as Fault). *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+let float_rt = S3_util.Spec.float_rt
 
 let to_string c =
   Printf.sprintf "slack=%s,max-swaps=%d,backoff=%s" (float_rt c.slack)
     c.max_swaps (float_rt c.backoff)
 
-let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error ("watchdog " ^ m)) fmt in
-  let items =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun item -> item <> "")
-  in
-  let rec go c = function
-    | [] -> (
-      match v ~slack:c.slack ~max_swaps:c.max_swaps ~backoff:c.backoff () with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-    | "default" :: rest -> go default rest
-    | item :: rest -> (
-      match String.index_opt item '=' with
-      | None ->
-        err "%S: expected KEY=VALUE with KEY one of slack, max-swaps, backoff"
-          item
-      | Some eq -> (
-        let key =
-          String.lowercase_ascii (String.trim (String.sub item 0 eq))
-        in
-        let value =
-          String.trim (String.sub item (eq + 1) (String.length item - eq - 1))
-        in
-        match key with
-        | "slack" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with slack = f } rest
-          | None -> err "slack: %S is not a number" value)
-        | "max-swaps" | "max_swaps" -> (
-          match int_of_string_opt value with
-          | Some n -> go { c with max_swaps = n } rest
-          | None -> err "max-swaps: %S is not an integer" value)
-        | "backoff" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with backoff = f } rest
-          | None -> err "backoff: %S is not a number" value)
-        | _ ->
-          err "%S: unknown key %S (expected slack, max-swaps or backoff)" item
-            key))
-  in
-  go default items
+let of_string =
+  let open S3_util.Spec in
+  parse ~what:"watchdog" ~default
+    ~keys:
+      [ float "slack" (fun c slack -> { c with slack });
+        int "max-swaps" (fun c max_swaps -> { c with max_swaps });
+        float "backoff" (fun c backoff -> { c with backoff })
+      ]
+    ~finish:(fun c -> v ~slack:c.slack ~max_swaps:c.max_swaps ~backoff:c.backoff ())
 
 (* ---- per-task intervention state ---- *)
 

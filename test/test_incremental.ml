@@ -1,21 +1,23 @@
-(* Incremental-vs-oracle equivalence suite.
+(* Indexed-vs-rescan equivalence suite.
 
-   The engine's O(affected) mode (per-entity flow buckets, dirty-set
-   clamping, indexed crash candidates, the lazy Phase I congestion
-   accessor) and the keyed block-decomposed LP solves all promise the
-   same thing: bit-identical runs, only faster. This suite pins that
-   promise the hard way — every QCheck case replays one random scenario
-   through both modes and compares the full metrics fingerprint AND the
-   per-event rate vectors, float for float. Scenarios draw random
-   topologies (two-tier and leaf-spine), workloads, foreground traffic,
-   fault plans and watchdog configs, so every index maintenance site
+   The engine's indexes (per-entity flow buckets, dirty-set clamping,
+   indexed crash candidates, the memoized Phase I congestion load) and
+   the block-decomposed LP solves all promise the same thing:
+   bit-identical runs, only faster. This suite pins that promise the
+   hard way — every QCheck case replays one random scenario through
+   Engine.run and through Engine.Make (Scan_index), the full-rescan
+   twin, and compares the full metrics fingerprint AND the per-event
+   rate vectors, float for float. Scenarios draw random topologies
+   (two-tier and leaf-spine), workloads, foreground traffic, fault
+   plans, watchdog, detector and retry configs, closed-loop repair
+   injection and a noisy data plane, so every index maintenance site
    (spawn, kill, re-home, hedged swap, shed, completion, expiry) is
-   crossed many times. A multicore sweep replay checks the incremental
+   crossed many times. A multicore sweep replay checks the index
    structures stay per-run under domains.
 
-   The LP half pins the solver contract directly: keyed (block-
-   decomposed) solves equal plain solves bit-for-bit over drifting
-   problem streams. *)
+   The LP half pins the solver contract directly: decomposed solves
+   through a state equal a whole-problem warm-started simplex
+   reference bit-for-bit over drifting problem streams. *)
 
 module T = S3_net.Topology
 module Task = S3_workload.Task
@@ -35,6 +37,10 @@ module Detector = S3_fault.Detector
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
 module Lp = S3_lp.Lp
+module Simplex = S3_lp.Simplex
+module Cluster = S3_storage.Cluster
+module Emulator = S3_cloud.Emulator
+module Scan_engine = Engine.Make (Scan_index)
 
 let tc = Alcotest.test_case
 
@@ -103,20 +109,31 @@ let check_load now (v : Problem.view) =
         Alcotest.failf "t=%g entity %d: load %.17g, eager scan %.17g" now e memo scan
     done
 
-(* One run in one mode, capturing the fingerprint and every per-event
-   rate vector (flow id and rate, in the algorithm's own order); the
-   incremental mode's load accessor is checked at every event too. *)
-let capture ?watchdog ?detector ?retry ~incremental name (topo, tasks, faults, fg) =
+(* Per-run hooks, built fresh for every run: the repair hook mutates
+   its cluster and the data plane draws from its own PRNG. *)
+type hooks = {
+  on_failure : (unit -> now:float -> server:int -> Task.t list) option;
+  data_plane : (unit -> Engine.data_plane) option;
+}
+
+let no_hooks = { on_failure = None; data_plane = None }
+
+(* One run through one engine, capturing the fingerprint and every
+   per-event rate vector (flow id and rate, in the algorithm's own
+   order); the load accessor, when present, is checked at every event
+   too. *)
+let capture ?watchdog ?detector ?retry ?(hooks = no_hooks) (module E : Engine.S) name
+    (topo, tasks, faults, fg) =
   let events = ref [] in
   let hook now v rates =
     check_load now v;
     events := (now, rates) :: !events
   in
   let run =
-    Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog ?detector ?retry
-      ~incremental topo
-      (Registry.make ~incremental name)
-      tasks
+    E.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog ?detector ?retry
+      ?on_failure:(Option.map (fun mk -> mk ()) hooks.on_failure)
+      ?data_plane:(Option.map (fun mk -> mk ()) hooks.data_plane)
+      topo (Registry.make name) tasks
   in
   (Report.fingerprint run, List.rev !events)
 
@@ -129,14 +146,19 @@ let rates_equal a b =
            ra rb)
     a b
 
-let equivalence_case ?watchdog ?detector ?retry ?(scene = scenario) name seed =
+let equivalence_case ?watchdog ?detector ?retry ?(scene = scenario) ?(hooks = fun _ _ -> no_hooks)
+    name seed =
   let scene = scene seed in
-  let fp_inc, ev_inc = capture ?watchdog ?detector ?retry ~incremental:true name scene in
-  let fp_orc, ev_orc = capture ?watchdog ?detector ?retry ~incremental:false name scene in
-  if not (String.equal fp_inc fp_orc) then
-    QCheck.Test.fail_reportf "%s, seed %d: fingerprints differ (%s vs %s)" name seed fp_inc
-      fp_orc;
-  if not (rates_equal ev_inc ev_orc) then
+  let (topo, _, _, _) = scene in
+  let hooks = hooks topo seed in
+  let fp_idx, ev_idx = capture ?watchdog ?detector ?retry ~hooks (module Engine) name scene in
+  let fp_scan, ev_scan =
+    capture ?watchdog ?detector ?retry ~hooks (module Scan_engine) name scene
+  in
+  if not (String.equal fp_idx fp_scan) then
+    QCheck.Test.fail_reportf "%s, seed %d: fingerprints differ (%s vs %s)" name seed fp_idx
+      fp_scan;
+  if not (rates_equal ev_idx ev_scan) then
     QCheck.Test.fail_reportf "%s, seed %d: per-event rates differ" name seed;
   true
 
@@ -182,6 +204,30 @@ let resume_retry seed =
     ~backoff:(1. +. Prng.float g 2.)
     ~resume:true ()
 
+(* Closed-loop repair over a small cluster on the scenario's fabric
+   (repair ids start far above the workload's), on half the seeds; a
+   quantize-and-jitter data plane with control latency, built as the
+   cloud emulator builds one, on a third. *)
+let repair_and_data_plane topo seed =
+  let on_failure () =
+    let cluster = Cluster.create topo in
+    let g = Prng.create (seed + 6) in
+    let n, k = if T.servers topo > 9 then (9, 6) else (4, 2) in
+    for _ = 1 to 6 do
+      ignore
+        (Cluster.add_file cluster g ~policy:S3_storage.Placement.Flat_uniform ~n ~k
+           ~chunk_volume:(8. +. Prng.float g 40.) ())
+    done;
+    Fault.closed_loop_repair (Prng.create (seed + 7)) cluster ~deadline_factor:8.
+      ~first_id:1_000_000
+  in
+  let data_plane () =
+    Emulator.data_plane { Emulator.default_config with Emulator.seed = seed + 8 }
+  in
+  { on_failure = (if seed / 2 mod 2 = 0 then Some on_failure else None);
+    data_plane = (if seed mod 3 = 0 then Some data_plane else None)
+  }
+
 let qcheck_engine =
   let open QCheck in
   let seed = int_range 0 1_000_000 in
@@ -195,22 +241,23 @@ let qcheck_engine =
       ~count:150 alg_and_seed (fun (name, seed) ->
         let watchdog = if seed mod 2 = 0 then Some (wd_config seed) else None in
         equivalence_case ?watchdog ~detector:(detector_config seed)
-          ~retry:(resume_retry seed) ~scene:batched_scenario name seed)
+          ~retry:(resume_retry seed) ~scene:batched_scenario ~hooks:repair_and_data_plane
+          name seed)
   ]
 
 (* ---- multicore sweep replay ---- *)
 
 let test_sweep_replay () =
-  let job incremental idx =
+  let job engine idx =
     let name = List.nth algorithms (idx mod List.length algorithms) in
     let scene = scenario (3000 + idx) in
-    fst (capture ~watchdog:(wd_config idx) ~incremental name scene)
+    fst (capture ~watchdog:(wd_config idx) engine name scene)
   in
-  let seq = Sweep.map ~domains:1 12 (job true) in
-  let par = Sweep.map ~domains:4 12 (job true) in
-  let oracle = Sweep.map ~domains:4 12 (job false) in
-  Alcotest.(check (array string)) "4-domain incremental sweep equals sequential" seq par;
-  Alcotest.(check (array string)) "incremental sweep equals oracle sweep" oracle par
+  let seq = Sweep.map ~domains:1 12 (job (module Engine)) in
+  let par = Sweep.map ~domains:4 12 (job (module Engine)) in
+  let scan = Sweep.map ~domains:4 12 (job (module Scan_engine)) in
+  Alcotest.(check (array string)) "4-domain indexed sweep equals sequential" seq par;
+  Alcotest.(check (array string)) "indexed sweep equals rescan sweep" scan par
 
 (* ---- the lazy congestion accessor, in isolation ---- *)
 
@@ -297,19 +344,19 @@ let test_load_memo () =
     incr checked
   in
   let run =
-    Engine.run ~on_event:hook ~faults ~incremental:true topo (Registry.make "lpst") tasks
+    Engine.run ~on_event:hook ~faults topo (Registry.make "lpst") tasks
   in
   Alcotest.(check bool) "events checked" true (!checked > 1);
   Alcotest.(check bool) "crashes re-homed subtasks" true (run.Metrics.tasks_rehomed > 0)
 
-(* ---- keyed (block-decomposed) LP solves ---- *)
+(* ---- decomposed LP solves against a whole-problem reference ---- *)
 
 (* A random block-structured packing problem, with the generator block
    of every variable and row, plus a drift step. A step either repeats
    the problem verbatim (the identical-problem hit), perturbs the
    bounds and lower bounds of every block or of one block only,
-   or appends a variable to one block (a structure change: the keyed
-   path must fall back exactly like the oracle does). *)
+   or appends a variable to one block (a structure change: the
+   decomposed path must fall back exactly like the reference does). *)
 type keyed_problem = {
   p : Lp.problem;
   var_block : int array;
@@ -406,9 +453,73 @@ let drift g kp =
     drift_bounds g kp ~touch:(Int.equal b)
   | _ -> drift_bounds g kp ~touch:(fun _ -> true)
 
-let solve_plain st p = Lp.solve ~state:st p
+(* The whole-problem reference: one simplex over the entire LP, with
+   the reuse rules Lp.state promises — the previous solution when the
+   problem repeats verbatim, the previous basis (slack columns remapped
+   to the new variable count) when the old rows are a coefficient-wise
+   prefix of the new ones and variables were only appended. *)
+type reference = {
+  ws : Simplex.workspace;
+  mutable last : (Lp.problem * Lp.solution * int array option) option;
+}
 
-let solve_keyed st kp = Lp.solve ~state:st ~decompose:true kp.p
+let same_row (a : Lp.constr) (b : Lp.constr) =
+  List.equal (fun (j, x) (k, y) -> j = k && Float.equal x y) a.Lp.coeffs b.Lp.coeffs
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let rec is_prefix old_rows rows =
+  match (old_rows, rows) with
+  | [], _ -> true
+  | a :: old_rest, b :: rest -> same_row a b && is_prefix old_rest rest
+  | _ :: _, [] -> false
+
+let reference_solve ({ ws; _ } as r) (p : Lp.problem) =
+  let m = List.length p.Lp.constraints in
+  match r.last with
+  | Some (q, sol, _)
+    when q.Lp.nvars = p.Lp.nvars
+         && same_floats q.Lp.lower p.Lp.lower
+         && same_floats q.Lp.objective p.Lp.objective
+         && List.equal
+              (fun (a : Lp.constr) b -> same_row a b && Float.equal a.Lp.bound b.Lp.bound)
+              q.Lp.constraints p.Lp.constraints ->
+    Ok { sol with Lp.values = Array.copy sol.Lp.values }
+  | last -> (
+    let warm =
+      match last with
+      | Some (q, _, Some basis)
+        when q.Lp.nvars <= p.Lp.nvars && is_prefix q.Lp.constraints p.Lp.constraints ->
+        let n = p.Lp.nvars and pn = q.Lp.nvars and pm = List.length q.Lp.constraints in
+        Some
+          (Array.init m (fun i ->
+               if i >= pm then n + i
+               else if basis.(i) < pn then basis.(i)
+               else n + (basis.(i) - pn)))
+      | _ -> None
+    in
+    let rows = Array.of_list (List.map (fun (c : Lp.constr) -> c.Lp.coeffs) p.Lp.constraints) in
+    let rhs =
+      Array.of_list
+        (List.map
+           (fun (c : Lp.constr) ->
+             c.Lp.bound
+             -. List.fold_left (fun acc (j, a) -> acc +. (a *. p.Lp.lower.(j))) 0. c.Lp.coeffs)
+           p.Lp.constraints)
+    in
+    let obj = p.Lp.objective in
+    let warm_result = Option.bind warm (fun w -> Simplex.warm_solve ws ~obj ~rows ~rhs ~warm:w) in
+    match
+      match warm_result with Some r -> r | None -> Simplex.maximize_sparse ~ws ~obj ~rows ~rhs ()
+    with
+    | Ok (y, basis) ->
+      let values = Array.mapi (fun j l -> l +. y.(j)) p.Lp.lower in
+      let sol = { Lp.values; objective_value = Lp.objective_of p values } in
+      r.last <- Some (p, sol, basis);
+      Ok sol
+    | Error e ->
+      r.last <- None;
+      Error (match e with `Infeasible -> Lp.Infeasible | `Unbounded -> Lp.Unbounded))
 
 let qcheck_lp =
   let open QCheck in
@@ -416,11 +527,12 @@ let qcheck_lp =
   [ Test.make ~name:"keyed LP stream == plain LP stream, bit for bit" ~count:150 seed
       (fun seed ->
         let g = Prng.create seed in
-        let st_plain = Lp.create_state () and st_keyed = Lp.create_state () in
+        let reference = { ws = Simplex.create_workspace (); last = None } in
+        let st = Lp.create_state () in
         let kp = ref (gen_keyed g) in
         let steps = 3 + Prng.int g 6 in
         for step = 0 to steps - 1 do
-          (match (solve_plain st_plain !kp.p, solve_keyed st_keyed !kp) with
+          (match (reference_solve reference !kp.p, Lp.solve ~state:st !kp.p) with
            | Ok a, Ok b ->
              if not (Float.equal a.Lp.objective_value b.Lp.objective_value) then
                Test.fail_reportf "seed %d step %d: objective %.17g vs %.17g" seed step
@@ -433,7 +545,7 @@ let qcheck_lp =
                a.Lp.values
            | Error ea, Error eb ->
              if ea <> eb then
-               Test.fail_reportf "seed %d step %d: different errors (plain %a, keyed %a)"
+               Test.fail_reportf "seed %d step %d: different errors (reference %a, decomposed %a)"
                  seed step Lp.pp_error ea Lp.pp_error eb
            | Ok _, Error _ | Error _, Ok _ ->
              Test.fail_reportf "seed %d step %d: one mode failed, the other solved" seed step);

@@ -70,7 +70,7 @@ let qcheck =
         let g = Prng.create s in
         let obj, rows, rhs = gen_instance g in
         let eps = eps_choices.(Prng.int g (Array.length eps_choices)) in
-        let dense = Packing.reference_maximize ~eps ~obj ~rows ~rhs in
+        let dense = Packing_oracle.reference_maximize ~eps ~obj ~rows ~rhs in
         let sparse =
           Packing.maximize_sparse ~eps ~obj ~rows:(sparse_of_dense rows) ~rhs ()
         in
@@ -89,7 +89,7 @@ let qcheck =
         let g = Prng.create s in
         let obj, rows, rhs = gen_instance g in
         let eps = eps_choices.(Prng.int g (Array.length eps_choices)) in
-        match (Packing.reference_maximize ~eps ~obj ~rows ~rhs,
+        match (Packing_oracle.reference_maximize ~eps ~obj ~rows ~rhs,
                Packing.maximize ~eps ~obj ~rows ~rhs)
         with
         | Ok xd, Ok xw -> Array.for_all2 Float.equal xd xw
@@ -147,7 +147,7 @@ let test_nan_inf_guard () =
     (Packing.maximize_sparse ~eps:0.1 ~obj ~rows:[| [ (0, 1.) ] |] ~rhs:[| Float.infinity |]
        ());
   expect_not_packing "sparse dense-oracle nan rhs"
-    (Packing.reference_maximize ~eps:0.1 ~obj ~rows ~rhs:[| Float.nan |])
+    (Packing_oracle.reference_maximize ~eps:0.1 ~obj ~rows ~rhs:[| Float.nan |])
 
 let test_guard_falls_back_to_exact () =
   (* Through the Lp front end, a non-packing instance under Approx
