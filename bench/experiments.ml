@@ -400,21 +400,17 @@ let plan_computation ~m name =
         Array.to_list
           (Array.mapi
              (fun i source ->
-               { S3_core.Problem.flow_id = (t.Task.id * 16) + i;
-                 task = t;
-                 source;
-                 remaining = t.Task.volume
-               })
+               S3_core.Problem.make_flow topo ~flow_id:((t.Task.id * 16) + i) ~task:t ~source
+                 ~remaining:t.Task.volume)
              sources))
       tasks
   in
   let view =
-    { S3_core.Problem.now = List.fold_left (fun acc (t : Task.t) -> max acc t.Task.arrival) 0. tasks;
-      topo;
-      flows = lazy flows;
-      available = (fun e -> (Topology.entity topo e).Topology.capacity);
-      load = None
-    }
+    S3_core.Problem.of_flows
+      ~now:(List.fold_left (fun acc (t : Task.t) -> max acc t.Task.arrival) 0. tasks)
+      ~topo
+      ~available:(fun e -> (Topology.entity topo e).Topology.capacity)
+      flows
   in
   fun () -> ignore (alg.S3_core.Algorithm.allocate view)
 

@@ -30,12 +30,9 @@ let () =
   (* The paper's key quantity: B has a later deadline than A but LESS
      scheduling slack. RTF sees it; EDF cannot. *)
   let view =
-    { Problem.now = 0.;
-      topo;
-      flows = lazy [];
-      available = (fun e -> (S3_net.Topology.entity topo e).S3_net.Topology.capacity);
-      load = None
-    }
+    Problem.of_flows ~now:0. ~topo
+      ~available:(fun e -> (S3_net.Topology.entity topo e).S3_net.Topology.capacity)
+      []
   in
   print_endline "\nRemaining Time Flexibility at t=0 (deadline - volume/path capacity):";
   List.iter

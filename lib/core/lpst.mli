@@ -20,6 +20,15 @@
     is that an instance carries per-run state: create a fresh one per
     execution.
 
+    Phase II runs on arrays the instance owns and reuses from event to
+    event: the view's task groups ({!Problem.view}[.tasks]) are ranked
+    by unboxed keys through an [int] index sort on [(key, task id)],
+    admission sums each task's LRB demand on a per-entity scratch
+    buffer, and sticky membership is a per-task generation stamp. The
+    decisions are exactly those of the list-based formulation
+    (regroup, partition held from waiting, [List.sort], filter), which
+    the test suite keeps as an oracle.
+
     The [sources], [admission] and [bandwidth] knobs exist for the
     paper's Fig. 3a ablations (LPST-Pi keeps only phase i, replacing
     the others with simple heuristics) and default to the real
@@ -37,7 +46,8 @@ val admit :
   ?admission:admission -> Problem.view ->
   (Problem.Task.t * Problem.flow list) list
 (** Phase II alone: the admitted tasks, in admission order — exposed
-    for tests and the Table 2 walkthrough. *)
+    for tests and the Table 2 walkthrough. The same code as
+    [allocate]'s Phase II, on a fresh state (so no task is held). *)
 
 val lpst :
   ?sources:Algorithm.source_policy ->

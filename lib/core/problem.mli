@@ -15,6 +15,11 @@ type flow = {
   flow_id : int;  (** unique within a run *)
   task : Task.t;
   source : int;  (** the selected source server of this subtask *)
+  route : int array;
+      (** capacity entities consumed: the topology's shared memoized
+          [Topology.route_array ~src:source ~dst:task.destination];
+          never mutate it. Carried so planning loops read it off the
+          flow instead of looking it up in the topology's route cache. *)
   remaining : float;  (** megabits still to transfer *)
 }
 
@@ -22,15 +27,22 @@ type view = {
   now : float;
   topo : Topology.t;
   flows : flow list Lazy.t;
-      (** incomplete flows of all active tasks, grouped by task in
-          arrival order. Lazy because the dominant consumer — Phase-I
-          source selection with an engine-maintained [load] index —
-          never looks at the flow list, and building it is O(all
-          flows) per view: allocate-time algorithms force it once,
-          per-spawn congestion probes never do. The thunk reads the
-          engine's live flow state, so a view is only valid until the
-          engine's next mutation — algorithms must force [flows] (or
-          not at all) before returning, never stash the view. *)
+      (** incomplete flows of all active tasks. Lazy because the
+          dominant consumer — Phase-I source selection with an
+          engine-maintained [load] index — never looks at the flow
+          list, and building it is O(all flows) per view. The thunk
+          reads the engine's live flow state, so a view is only valid
+          until the engine's next mutation — algorithms must force
+          [flows] or [tasks] (or neither) before returning, never stash
+          the view. *)
+  tasks : (Task.t * flow list) list Lazy.t;
+      (** the same flows grouped per task: tasks in arrival order
+          (first appearance in [flows]), flows in [flows] order within
+          a task, no empty group, task ids distinct. The engine builds
+          this grouping straight from its task records and derives
+          [flows] from it, so task-level consumers (Phase II, the
+          sequencing baselines) never regroup a flat list; a view made
+          by {!of_flows} groups its list instead. *)
   available : int -> float;  (** entity id -> megabits/s currently
                                  available to background traffic (raw
                                  capacity minus foreground load) *)
@@ -43,12 +55,16 @@ type view = {
       computes from scratch; [None] when no index is available. *)
 }
 
+val make_flow :
+  Topology.t -> flow_id:int -> task:Task.t -> source:int -> remaining:float -> flow
+(** A flow with its [route] resolved on the topology. *)
+
 val route : view -> flow -> int list
 (** Capacity entities this flow consumes. *)
 
 val route_arr : view -> flow -> int array
-(** Same as {!route}, as the topology's shared memoized array —
-    allocation-free; callers must not mutate it. *)
+(** Same as {!route}, as the flow's [route] — the topology's shared
+    memoized array, allocation-free; callers must not mutate it. *)
 
 val path_available : view -> src:int -> dst:int -> float
 (** Bottleneck available bandwidth between two servers: min of
@@ -57,9 +73,16 @@ val path_available : view -> src:int -> dst:int -> float
 
 val flow_path_available : view -> flow -> float
 
+val of_flows :
+  ?load:(int -> float) ->
+  now:float -> topo:Topology.t -> available:(int -> float) -> flow list -> view
+(** A view over a bare flow list, whose flows may interleave tasks:
+    [tasks] groups them by task id (tasks in order of first appearance,
+    flows in list order). [load] defaults to [None]. *)
+
 val by_task : view -> (Task.t * flow list) list
-(** Flows grouped per task, preserving task arrival order and flow
-    order within a task. *)
+(** [Lazy.force v.tasks]: flows grouped per task, preserving task
+    arrival order and flow order within a task. *)
 
 val deadline_slack : view -> flow -> float
 (** Seconds until the flow's deadline; negative once expired. *)

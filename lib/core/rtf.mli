@@ -17,6 +17,11 @@ val flow_rtf : Problem.view -> Problem.flow -> float
     bottleneck {e available} capacity of the flow's route.
     [neg_infinity] when the path currently has zero capacity. *)
 
+val rtf_at : now:float -> cap:float -> Problem.flow -> float
+(** {!flow_rtf} with the path's bottleneck capacity [cap] supplied by
+    the caller (Phase II reads it off its per-event availability
+    array). *)
+
 val task_rtf : Problem.view -> Problem.flow list -> float
 (** Eq. (13): the task's RTF is the minimum over its subtask flows.
     Raises [Invalid_argument] on an empty flow list. *)

@@ -1,15 +1,15 @@
 module Task = S3_workload.Task
 
-(* Sort existing (task, flows) pairs by ascending key. The key sees the
-   view only for [now]/[available]/[topo] plus the pair's own flows, so
-   callers that already hold the grouping (lpst's sticky admission)
-   avoid rebuilding it through [Problem.by_task]. *)
+(* Sort existing (task, flows) pairs by ascending key, ties by task id.
+   The key sees the view only for [now]/[available]/[topo] plus the
+   pair's own flows. [Float.compare] orders keys exactly as the
+   polymorphic [compare] does on floats, NaN included. *)
 let sort_pairs v ~key pairs =
   let scored = List.map (fun tf -> (key v tf, tf)) pairs in
   List.sort
     (fun (ka, (ta, _)) (kb, (tb, _)) ->
-      match compare ka kb with
-      | 0 -> compare ta.Task.id tb.Task.id
+      match Float.compare ka kb with
+      | 0 -> Int.compare ta.Task.id tb.Task.id
       | c -> c)
     scored
   |> List.map snd

@@ -121,7 +121,11 @@ module Make (I : Flow_index.S) = struct
        [injected_all] accumulates every injection for the final report. *)
     let injected = ref [] and injected_all = ref [] in
     let known_ids = Hashtbl.create (Array.length pending * 2) in
-    Array.iter (fun (t : Task.t) -> Hashtbl.replace known_ids t.Task.id ()) pending;
+    Array.iter
+      (fun (t : Task.t) ->
+        if Hashtbl.mem known_ids t.Task.id then invalid_arg "Engine.run: duplicate task id";
+        Hashtbl.replace known_ids t.Task.id ())
+      pending;
     let cmp_arrival (a : Task.t) (b : Task.t) =
       match Float.compare a.Task.arrival b.Task.arrival with
       | 0 -> Int.compare a.Task.id b.Task.id
@@ -148,35 +152,64 @@ module Make (I : Flow_index.S) = struct
       I.retire idx lt
     in
     let fg_generation = ref (Foreground.generation fg) in
-    let live_flows lt =
-      Array.to_list lt.lflows |> List.filter (fun f -> f.remaining > 0.)
-    in
     let make_view () =
-      (* The flow list is the expensive part of a view — O(all live
+      (* The task grouping is the expensive part of a view — O(all live
          flows) to build — and Phase-I source selection through the
          index's [load] never reads it, so it stays a thunk: spawns that
          only probe congestion cost nothing here, allocate-time
          algorithms force it once before any further mutation (the
-         engine never hands a view across a state change). *)
+         engine never hands a view across a state change). Groups come
+         straight from the task records, in arrival order; a task with
+         no live flow has none. *)
       let act = !active in
-      let flows =
+      (* A group is rebuilt only when the task's live flows changed since
+         the last view (drained, killed, replaced or moved volume), so a
+         waiting task hands out the same records event after event. *)
+      let rec unchanged lflows i (planned : Problem.flow list) =
+        if i = Array.length lflows then (match planned with [] -> true | _ :: _ -> false)
+        else begin
+          let f = lflows.(i) in
+          if f.remaining > 0. then
+            match planned with
+            | p :: rest ->
+              p.Problem.flow_id = f.flow_id
+              && Float.equal p.Problem.remaining f.remaining
+              && unchanged lflows (i + 1) rest
+            | [] -> false
+          else unchanged lflows (i + 1) planned
+        end
+      in
+      let rebuild lt =
+        let live = ref [] in
+        for i = Array.length lt.lflows - 1 downto 0 do
+          let f = lt.lflows.(i) in
+          if f.remaining > 0. then
+            live :=
+              { Problem.flow_id = f.flow_id;
+                task = lt.task;
+                source = f.source;
+                route = f.route;
+                remaining = f.remaining
+              }
+              :: !live
+        done;
+        lt.planned <- (lt.task, !live)
+      in
+      let tasks =
         lazy
-          (List.rev act
-          |> List.concat_map (fun lt ->
-                 if lt.resolved then []
-                 else
-                   List.map
-                     (fun f ->
-                       { Problem.flow_id = f.flow_id;
-                         task = lt.task;
-                         source = f.source;
-                         remaining = f.remaining
-                       })
-                     (live_flows lt)))
+          (List.fold_left
+             (fun acc lt ->
+               if lt.resolved then acc
+               else begin
+                 if not (unchanged lt.lflows 0 (snd lt.planned)) then rebuild lt;
+                 match lt.planned with _, [] -> acc | group -> group :: acc
+               end)
+             [] act)
       in
       { Problem.now = !now;
         topo;
-        flows;
+        flows = lazy (List.concat_map snd (Lazy.force tasks));
+        tasks;
         available = avail;
         load = I.load idx
       }
@@ -394,7 +427,9 @@ module Make (I : Flow_index.S) = struct
                 (String.concat ";" (Array.to_list (Array.map string_of_int sources))));
           let seq = !next_seq in
           incr next_seq;
-          let lt = { seq; task = t; lflows; resolved = false; failed = false } in
+          let lt =
+            { seq; task = t; lflows; resolved = false; failed = false; planned = (t, []) }
+          in
           active := lt :: !active;
           I.add_task idx lt
         end

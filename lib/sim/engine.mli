@@ -114,8 +114,10 @@ include S
 
     Execute to quiescence and report. [on_event] observes every
     post-recomputation state (used by the Table 2 walkthrough). Tasks
-    may be given in any order; destinations and sources must be valid
-    servers of the topology. Raises {!Invalid_selection} if the
+    may be given in any order, with distinct ids ([Invalid_argument]
+    otherwise: outcomes and the views' task groups are keyed by id);
+    destinations and sources must be valid servers of the topology.
+    Raises {!Invalid_selection} if the
     algorithm returns an invalid source selection. The [load] accessor
     in views handed to [on_event] reads live engine state: consult it
     during the callback, not after.

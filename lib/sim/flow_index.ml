@@ -18,6 +18,8 @@ module Live = struct
     lflows : flow array;
     mutable resolved : bool;  (* flows gone: completed or abandoned *)
     mutable failed : bool;  (* deadline passed with volume outstanding *)
+    mutable planned : Task.t * S3_core.Problem.flow list;
+        (* the task's group in the last view built *)
   }
 end
 
@@ -53,8 +55,6 @@ type t = {
      is read off the bucket instead of scanning all flows. A flow is
      bucketed from its spawn until it is killed, drained or abandoned. *)
   ent_flows : (int, int * int * task * flow) Hashtbl.t array;
-  (* Unresolved tasks per destination server, keyed by seq. *)
-  by_dest : (int, (int, task) Hashtbl.t) Hashtbl.t;
   (* Per-entity congestion load for Phase I: the sum of finite LRBs of
      the bucket's flows, folded in view order — (task seq, slot)
      ascending is exactly the order [Congestion.of_view] walks the
@@ -89,7 +89,6 @@ let create topo =
     now = 0.;
     usage = Array.make nent 0.;
     ent_flows = Array.init nent (fun _ -> Hashtbl.create 4);
-    by_dest = Hashtbl.create 64;
     epoch = 0;
     memo_sum = Array.make nent 0.;
     memo_seq = Array.make nent (-1);
@@ -151,18 +150,7 @@ let add t lt slot f =
       end)
     f.route
 
-let add_task t lt =
-  Array.iteri (fun slot f -> add t lt slot f) lt.lflows;
-  let dst = lt.task.Task.destination in
-  let cell =
-    match Hashtbl.find_opt t.by_dest dst with
-    | Some cell -> cell
-    | None ->
-      let cell = Hashtbl.create 4 in
-      Hashtbl.replace t.by_dest dst cell;
-      cell
-  in
-  Hashtbl.replace cell lt.seq lt
+let add_task t lt = Array.iteri (fun slot f -> add t lt slot f) lt.lflows
 
 let remove t f =
   Array.iter
@@ -171,10 +159,7 @@ let remove t f =
       t.memo_epoch.(e) <- -1)
     f.route
 
-let retire t lt =
-  match Hashtbl.find_opt t.by_dest lt.task.Task.destination with
-  | Some cell -> Hashtbl.remove cell lt.seq
-  | None -> ()
+let retire _ _ = ()
 
 let usage t e = t.usage.(e)
 
@@ -206,9 +191,12 @@ let clamp_scan t =
 let victims t e = List.map (fun (_, _, _, f) -> f) (bucket t e (fun lt _ -> not lt.resolved))
 
 (* A task loses its destination or a live source only through the
-   destination index or the bucket of a dead server's NIC entity (every
-   flow's route crosses its source NIC; the source = destination corner
-   is covered by the destination index). *)
+   bucket of a dead server's NIC entity: every flow's route crosses both
+   its source and its destination NIC (a source never equals the
+   destination), and an unresolved task always has a bucketed flow —
+   a task resolves at the step its last flow drains, and a replacement
+   is bucketed as soon as the flow it replaces is killed.
+   test_incremental.ml pins the waits that come closest. *)
 let crash_candidates t servers =
   let seen = Hashtbl.create 16 in
   let candidates = ref [] in
@@ -220,9 +208,6 @@ let crash_candidates t servers =
   in
   List.iter
     (fun s ->
-      (match Hashtbl.find_opt t.by_dest s with
-       | Some cell -> Hashtbl.iter (fun _ lt -> consider lt) cell
-       | None -> ());
       let nic = Topology.server_entity t.topo s in
       Hashtbl.iter (fun _ (_, _, lt, _) -> consider lt) t.ent_flows.(nic))
     servers;

@@ -2,10 +2,9 @@
     O(what it touches) instead of a rescan of every live flow.
 
     {!Engine.Make} is written against {!S}; {!Engine.run} instantiates
-    it with this module. The index owns four pieces of state:
+    it with this module. The index owns three pieces of state:
     - per-entity flow buckets (every live flow whose route crosses the
       entity) and the per-entity rate sum ([usage]);
-    - a destination index of unresolved tasks per server;
     - the Phase-I congestion-load memo, handed to algorithms through
       {!S3_core.Problem.view}[.load];
     - the dirty set of entities whose usage or availability moved since
@@ -33,6 +32,9 @@ module Live : sig
     lflows : flow array;  (** one slot per selected source *)
     mutable resolved : bool;  (** flows gone: completed or abandoned *)
     mutable failed : bool;  (** deadline passed with volume outstanding *)
+    mutable planned : S3_workload.Task.t * S3_core.Problem.flow list;
+        (** the task's group in the last view the engine built; reused
+            while its live flows keep their ids and volumes *)
   }
 end
 
@@ -58,7 +60,9 @@ module type S = sig
       already 0. *)
 
   val retire : t -> Live.task -> unit
-  (** The task resolved; the index may forget it. *)
+  (** The task resolved; the index may forget it. ({!Flow_index}
+      keeps nothing per task: its bucket readers skip resolved
+      tasks.) *)
 
   val usage : t -> int -> float
   (** Sum of the rates of live flows crossing the entity. *)

@@ -11,17 +11,14 @@ let task ?(id = 0) ?(arrival = 0.) ?(deadline = 10.) ?(volume = 1000.) ?(k = 1)
   Task.v ~id ~arrival ~deadline ~volume ~k ~sources ~destination ()
 
 let flow ?(flow_id = 0) ?(source = 1) ?remaining task =
-  { Problem.flow_id;
-    task;
-    source;
-    remaining = Option.value ~default:task.Task.volume remaining
-  }
+  Problem.make_flow topo ~flow_id ~task ~source
+    ~remaining:(Option.value ~default:task.Task.volume remaining)
 
 let raw_available t e = (T.entity t e).T.capacity
 
 let view ?(now = 0.) ?(topo = topo) ?available flows =
   let available = Option.value ~default:(raw_available topo) available in
-  { Problem.now; topo; flows = lazy flows; available; load = None }
+  Problem.of_flows ~now ~topo ~available flows
 
 (* Flows of a whole task: one per selected source, ids offset by task id. *)
 let flows_of ?(selected = None) (t : Task.t) =

@@ -40,6 +40,7 @@ module Lp = S3_lp.Lp
 module Simplex = S3_lp.Simplex
 module Cluster = S3_storage.Cluster
 module Emulator = S3_cloud.Emulator
+module Algorithm = S3_core.Algorithm
 module Scan_engine = Engine.Make (Scan_index)
 
 let tc = Alcotest.test_case
@@ -245,6 +246,131 @@ let qcheck_engine =
           name seed)
   ]
 
+(* ---- directed: a destination crash while a fetch waits ----
+
+   Crash candidates come from the dead servers' NIC buckets. That finds
+   every unresolved task whose destination died because such a task
+   always has a live flow in some bucket, and every flow's route crosses
+   its destination NIC: a drained task resolves at the step that
+   drains it, and every kill for a replacement is followed by the
+   replacement's insertion before anything else runs. These scenes put
+   a task in the waits that come closest to "unresolved with nothing
+   bucketed" and then crash its destination: a fetch stalled by a dead
+   source link, waiting on its retry timer; the same under a detector;
+   and a fetch whose source is dead but not yet detected. Both engines
+   must lose the task at the destination crash, identically. *)
+
+let test_destination_crash_while_waiting () =
+  let topo = T.two_tier ~racks:3 ~servers_per_rack:3 ~cst:1000. ~cta:3000. in
+  let task = Task.v ~id:0 ~arrival:0. ~deadline:20. ~volume:1000. ~k:1 ~sources:[| 1; 2 |]
+      ~destination:0 () in
+  let nic s = T.server_entity topo s in
+  let scenes =
+    [ ( "stalled, retry pending",
+        [ { Fault.time = 0.2;
+            kind = Fault.Link_degrade { entity = nic 1; factor = 0.; duration = 50. } };
+          { Fault.time = 0.5; kind = Fault.Server_crash 0 } ],
+        None );
+      ( "stalled, retry pending, detector",
+        [ { Fault.time = 0.2;
+            kind = Fault.Link_degrade { entity = nic 1; factor = 0.; duration = 50. } };
+          { Fault.time = 0.5; kind = Fault.Server_crash 0 } ],
+        Some (Detector.v ~suspect:0.3 ~confirm:0.1 ()) );
+      ( "source dead, undetected",
+        [ { Fault.time = 0.2; kind = Fault.Server_crash 1 };
+          { Fault.time = 0.3; kind = Fault.Server_crash 0 } ],
+        Some (Detector.v ~suspect:1. ~confirm:0.5 ()) ) ]
+  in
+  List.iter
+    (fun (label, events, detector) ->
+      let faults = Fault.plan events in
+      let retry = Retry.v ~retries:2 ~timeout:1. ~backoff:2. ~resume:true () in
+      let run (module E : Engine.S) =
+        E.run ~faults ?detector ~retry topo (Registry.make "lpst") [ task ]
+      in
+      let idx = run (module Engine) and scan = run (module Scan_engine) in
+      Alcotest.(check string) (label ^ ": fingerprints") (Report.fingerprint scan)
+        (Report.fingerprint idx);
+      Alcotest.(check int) (label ^ ": lost to the crash") 1 idx.Metrics.tasks_lost;
+      Alcotest.(check int) (label ^ ": not completed") 0 (Metrics.completed idx))
+    scenes
+
+(* ---- directed: the clamp path ----
+
+   No shipped algorithm over-allocates, so only a deliberately greedy
+   one reaches the engine's clamp. EDF's rates scaled by 1.3 overload
+   the entities it saturates; the engine must scale them back so that
+   no entity carries more than its availability (+1e-6) after any
+   event, and the conservation law must still hold. The rates the
+   engine settled on are read through an identity data plane, whose
+   shaping pass sees every positive rate after clamping. The indexed
+   and full-rescan engines are not fingerprint-identical here: their
+   usage sums round differently, and the clamp scale [available /.
+   usage] exposes the last bits (DESIGN.md, §"Flow_index"). *)
+
+let greedy_edf () =
+  let edf = Registry.make "edf" in
+  { edf with
+    Algorithm.name = "EDF x1.3";
+    allocate = (fun v -> List.map (fun (f, r) -> (f, 1.3 *. r)) (edf.Algorithm.allocate v))
+  }
+
+let test_clamp_path () =
+  let check_run label (module E : Engine.S) (topo, tasks, faults, fg) =
+    let settled = ref [] in
+    let data_plane =
+      { Engine.control_latency = (fun () -> 0.);
+        shape_rate =
+          (fun ~flow_id r ->
+            settled := (flow_id, r) :: !settled;
+            r)
+      }
+    in
+    let nent = Array.length (T.entities topo) in
+    let hook now (v : Problem.view) _ =
+      let routes = Hashtbl.create 64 in
+      List.iter
+        (fun (f : Problem.flow) -> Hashtbl.replace routes f.Problem.flow_id f.Problem.route)
+        (Lazy.force v.Problem.flows);
+      let usage = Array.make nent 0. in
+      List.iter
+        (fun (fid, r) ->
+          match Hashtbl.find_opt routes fid with
+          | Some route -> Array.iter (fun e -> usage.(e) <- usage.(e) +. r) route
+          | None -> Alcotest.failf "%s t=%g: flow %d holds a rate but is not live" label now fid)
+        !settled;
+      settled := [];
+      Array.iteri
+        (fun e u ->
+          let a = v.Problem.available e in
+          if u > a +. 1e-6 then
+            Alcotest.failf "%s t=%g: entity %d carries %.9f > available %.9f" label now e u a)
+        usage
+    in
+    let run =
+      E.run ~config:(engine_config fg) ~data_plane ~on_event:hook ~faults topo (greedy_edf ())
+        tasks
+    in
+    if run.Metrics.clamp_events = 0 then Alcotest.failf "%s: never clamped" label;
+    let useful =
+      List.fold_left
+        (fun acc (o : Metrics.outcome) ->
+          if o.Metrics.completed then acc +. Task.total_volume o.Metrics.task else acc)
+        0. run.Metrics.outcomes
+    in
+    let drift =
+      Float.abs
+        (run.Metrics.transferred -. (useful +. run.Metrics.wasted +. run.Metrics.shed_volume))
+    in
+    if drift > (1e-6 *. Float.max 1. run.Metrics.transferred) +. 1e-3 then
+      Alcotest.failf "%s: conservation drift %.6f" label drift
+  in
+  for seed = 1 to 20 do
+    let scene = scenario seed in
+    check_run (Printf.sprintf "indexed, seed %d" seed) (module Engine) scene;
+    check_run (Printf.sprintf "full rescan, seed %d" seed) (module Scan_engine) scene
+  done
+
 (* ---- multicore sweep replay ---- *)
 
 let test_sweep_replay () =
@@ -280,21 +406,13 @@ let test_congestion_accessor () =
       (fun (t : Task.t) ->
         List.mapi
           (fun i s ->
-            { Problem.flow_id = (t.Task.id * 16) + i;
-              task = t;
-              source = s;
-              remaining = t.Task.volume
-            })
+            Problem.make_flow topo ~flow_id:((t.Task.id * 16) + i) ~task:t ~source:s
+              ~remaining:t.Task.volume)
           (Array.to_list t.Task.sources |> List.filteri (fun i _ -> i < t.Task.k)))
       tasks
   in
   let eager =
-    { Problem.now = 1.;
-      topo;
-      flows = lazy flows;
-      available = (fun e -> (T.entity topo e).T.capacity);
-      load = None
-    }
+    Problem.of_flows ~now:1. ~topo ~available:(fun e -> (T.entity topo e).T.capacity) flows
   in
   (* The reference accessor: exactly the eager per-entity sums. *)
   let eager_table = Congestion.of_view eager in
@@ -558,6 +676,8 @@ let tests =
   ( "incremental",
     [ tc "sweep replay (4 domains)" `Quick test_sweep_replay;
       tc "congestion accessor == eager scan" `Quick test_congestion_accessor;
-      tc "load memo == eager scan at every event" `Quick test_load_memo
+      tc "load memo == eager scan at every event" `Quick test_load_memo;
+      tc "destination crash while a fetch waits" `Quick test_destination_crash_while_waiting;
+      tc "clamp path keeps capacity and conservation" `Quick test_clamp_path
     ]
     @ List.map QCheck_alcotest.to_alcotest (qcheck_engine @ qcheck_lp) )

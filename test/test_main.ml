@@ -24,6 +24,7 @@ let () =
       Test_fault.tests;
       Test_detector.tests;
       Test_incremental.tests;
+      Test_phase2.tests;
       Test_integration.tests;
       Test_properties.tests;
       Test_report.tests;

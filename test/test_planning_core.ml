@@ -153,7 +153,14 @@ let test_route_array_matches_route () =
           let oracle = T.route t ~src ~dst in
           Alcotest.(check (list int))
             (Printf.sprintf "%s %d->%d" (T.name t) src dst)
-            oracle cached
+            oracle cached;
+          (* The engine finds crash victims through NIC buckets alone,
+             which needs every route to cross both endpoint NICs. *)
+          if src <> dst then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %d->%d crosses both NICs" (T.name t) src dst)
+              true
+              (List.mem (T.server_entity t src) cached && List.mem (T.server_entity t dst) cached)
         done
       done)
     (all_topologies ())
